@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
@@ -92,8 +93,11 @@ def _cmd_clean(args) -> int:
         # the sequential path regardless of worker count.
         chunk = max(1, min(_POOL_CHUNK, -(-len(groups) // (args.threads * 4))))
         chunks = [groups[i : i + chunk] for i in range(0, len(groups), chunk)]
+        # The pool starts all its workers at once; more than there are CPUs
+        # or chunks would only cost processes.
+        workers = min(args.threads, os.cpu_count() or 1, len(chunks))
         samples = []
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(partial(clean_corpus, config=config), chunks):
                 samples.extend(part)
     else:
@@ -204,7 +208,9 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    with open(args.hyp, "r", encoding="utf-8") as stream:
+    # Lines end at "\n" only, as in the corpus and M2 readers; normalize()
+    # drops the "\r" of a CRLF ending.
+    with open(args.hyp, "r", encoding="utf-8", newline="\n") as stream:
         hypotheses = [normalize(line) for line in stream]
     with open(args.gold, "r", encoding="utf-8", newline="") as stream:
         gold = list(read_m2_file(stream))
@@ -225,6 +231,13 @@ def _cmd_score(args) -> int:
         {"gold": args.gold, "hyp": args.hyp, "json": args.json},
     )
     return 0
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -258,7 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="drop identity targets and fully grammatical sources first",
     )
     clean.add_argument(
-        "--threads", type=int, default=1, help="worker processes (output is identical)"
+        "--threads",
+        type=_positive_int,
+        default=1,
+        help="worker processes, at most one per CPU (output is identical)",
     )
     clean.set_defaults(handler=_cmd_clean)
 

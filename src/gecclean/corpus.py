@@ -27,11 +27,6 @@ class Sample(NamedTuple):
     source: str
     target: str
 
-    @property
-    def is_erroneous(self) -> bool:
-        """True when the target differs from the source."""
-        return self.source != self.target
-
 
 class SourceGroup(NamedTuple):
     """One unique source sentence with its distinct targets.

@@ -23,6 +23,7 @@ replacement must not collide with them; serialization rejects such edits.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -35,8 +36,10 @@ SUBSTITUTE = "substitute"
 DELETE = "delete"
 INSERT = "insert"
 
-# Pairs longer than this are still aligned, but the quadratic backtrace
-# matrix starts to hurt; flag them so batch callers can notice.
+# Pairs longer than this are still aligned.  The banded alignment keeps
+# near pairs cheap at any length, but a long dissimilar pair still fills
+# close to the full length x length matrix; flag them so batch callers
+# can notice.
 ALIGN_LENGTH_FLAG = 512
 
 _NONE_FIELD = "-NONE-"
@@ -93,6 +96,75 @@ class Annotation:
                 raise ValueError(f"two insertions share position {before.start}")
 
 
+def _band_rows(s: str, t: str, klo: int, khi: int) -> list[list[int]]:
+    """Fill D(i, j) over the diagonals klo <= j - i <= khi of the DP matrix.
+
+    Row i holds the cells j = max(0, i + klo) .. min(n, i + khi).  A row
+    that stops short of column n gets one extra cell, a value larger than
+    any distance, which the next row reads as its out-of-band neighbour.
+    """
+    m, n = len(s), len(t)
+    outside = m + n + 1
+    b = min(n, khi)
+    row = list(range(b + 1))
+    if b < n:
+        row.append(outside)
+    rows = [row]
+    # Rows 1..top start at column 0; every later row starts one column to
+    # the right of the row above it.
+    top = min(m, -klo)
+    for i in range(1, m + 1):
+        sc = s[i - 1]
+        b = i + khi
+        if b > n:
+            b = n
+        prev = row
+        if i <= top:
+            row = [i]
+            chars = t[:b]
+            ups = prev[1 : b + 1]
+            left = i + 1
+        else:
+            a = i + klo
+            row = []
+            chars = t[a - 1 : b]
+            ups = prev[1 : b - a + 2]
+            left = outside
+        push = row.append
+        diag = prev[0]
+        for tc, up in zip(chars, ups):
+            # left already holds the left neighbour plus one; diag becomes
+            # min(diagonal + cost, up + 1, left).
+            if sc != tc:
+                diag += 1
+            if up < diag:
+                diag = up + 1
+            if left < diag:
+                diag = left
+            push(diag)
+            left = diag + 1
+            diag = up
+        if b < n:
+            push(outside)
+        rows.append(row)
+    return rows
+
+
+def _multiset_bound(s: str, t: str) -> int:
+    """A lower bound on the edit distance from character counts alone.
+
+    Each edit removes at most one surplus character of s and at most one
+    surplus character of t.
+    """
+    counts = Counter(t)
+    surplus = 0
+    for char, count in Counter(s).items():
+        count -= counts.get(char, 0)
+        if count > 0:
+            surplus += count
+    return max(surplus, surplus + len(t) - len(s))
+
+
 def align(s: str, t: str) -> list[str]:
     """Minimum-cost unit-cost alignment path from s to t.
 
@@ -100,45 +172,88 @@ def align(s: str, t: str) -> list[str]:
     the backtrace are broken in the fixed order match > substitute >
     delete > insert, which makes the path (and everything derived from it)
     deterministic.
+
+    The path is the one a backtrace over the full (m+1) x (n+1) distance
+    matrix would take, but only a band of diagonals around it is filled
+    (Ukkonen 1985).  After the common suffix is trimmed, a pair at
+    distance d fills O((m + n) * (d + 1)) cells, and no pass over the
+    band holds more cells than the full matrix.
     """
     m, n = len(s), len(t)
     if m > ALIGN_LENGTH_FLAG or n > ALIGN_LENGTH_FLAG:
         logger.warning("aligning an unusually long pair (%d x %d tokens)", m, n)
-    dist = [list(range(n + 1))]
-    for i in range(1, m + 1):
-        previous = dist[-1]
-        row = [i] * (n + 1)
-        sc = s[i - 1]
-        for j in range(1, n + 1):
-            best = previous[j - 1] + (sc != t[j - 1])
-            left = row[j - 1] + 1
-            if left < best:
-                best = left
-            up = previous[j] + 1
-            if up < best:
-                best = up
-            row[j] = best
-        dist.append(row)
+    # D(i, j) = D(i-1, j-1) whenever s[i-1] == t[j-1], so the backtrace
+    # takes a common suffix as matches.  A common prefix cannot be trimmed
+    # the same way: the tie-break may place an edit inside it, as in
+    # "ab" -> "aab", whose inserted "a" comes first.
+    while m and n and s[m - 1] == t[n - 1]:
+        m -= 1
+        n -= 1
+    suffix = len(s) - m
+    s, t = s[:m], t[:n]
 
+    # The band spans diagonals k = j - i from min(0, n-m) - p to
+    # max(0, n-m) + p.  A path that leaves it costs at least gap + 2p + 2,
+    # so when D(m, n) in the band is at most gap + 2p + 1, every optimal
+    # path lies inside and the band holds its cells exactly.  Otherwise
+    # the distance lies between that limit and the band's D(m, n): double
+    # the limit, starting from the character-count bound on the first
+    # retry, until the band certifies itself or covers the whole matrix.
+    gap = abs(n - m)
+    p = 0
+    while True:
+        klo = max(min(0, n - m) - p, -m)
+        khi = min(max(0, n - m) + p, n)
+        if 2 * (khi - klo) > n:
+            # A band over more than half the columns costs about as much as
+            # the whole matrix, which never needs another pass.
+            klo, khi = -m, n
+        rows = _band_rows(s, t, klo, khi)
+        here = rows[m][n - max(0, m + klo)]
+        limit = gap + 2 * p + 1
+        if here <= limit or (klo == -m and khi == n):
+            break
+        target = 2 * limit
+        if p == 0:
+            target = max(target, _multiset_bound(s, t))
+        p = (min(target, here) - gap) // 2
+        rows = []  # free this pass before filling the wider one
+
+    # Backtrace from (m, n).  Every cell it visits lies on an optimal path,
+    # so it is inside the band; a neighbour outside the band reads as too
+    # large to be chosen, exactly as it would fail the same test in the
+    # full matrix.
     path: list[str] = []
+    push = path.append
     i, j = m, n
-    while i or j:
-        here = dist[i][j]
-        if i and j and s[i - 1] == t[j - 1] and dist[i - 1][j - 1] == here:
-            path.append(MATCH)
+    while i and j:
+        if s[i - 1] == t[j - 1]:
+            push(MATCH)
             i -= 1
             j -= 1
-        elif i and j and s[i - 1] != t[j - 1] and dist[i - 1][j - 1] + 1 == here:
-            path.append(SUBSTITUTE)
+            continue
+        prev = rows[i - 1]
+        start = max(0, i - 1 + klo)
+        diag = prev[j - 1 - start]
+        if diag + 1 == here:
+            push(SUBSTITUTE)
             i -= 1
             j -= 1
-        elif i and dist[i - 1][j] + 1 == here:
-            path.append(DELETE)
+            here = diag
+            continue
+        up = prev[j - start]
+        if up + 1 == here:
+            push(DELETE)
             i -= 1
+            here = up
         else:
-            path.append(INSERT)
+            push(INSERT)
             j -= 1
+            here -= 1
+    path.extend([DELETE] * i)
+    path.extend([INSERT] * j)
     path.reverse()
+    path.extend([MATCH] * suffix)
     return path
 
 

@@ -1,9 +1,10 @@
 """Independent reference implementations used to derive expected values.
 
 Nothing here shares code with the package under test: the distance oracle
-is the plain recursive definition, and the alignment oracle enumerates
-every minimum-cost path and applies the documented tie-break to pick the
-canonical one.
+is the plain recursive definition, the alignment oracle enumerates every
+minimum-cost path and applies the documented tie-break to pick the
+canonical one, and ``align_full_matrix`` is the aligner the package used
+before it switched to a banded fill, kept as the reference for long pairs.
 """
 
 from __future__ import annotations
@@ -91,3 +92,48 @@ def canonical_min_path(s: str, t: str) -> tuple[str, ...]:
     return min(
         paths, key=lambda p: tuple(STEP_PRIORITY[step] for step in reversed(p))
     )
+
+
+def align_full_matrix(s: str, t: str) -> list[str]:
+    """Backtrace over the full (m+1) x (n+1) distance matrix.
+
+    Ties are broken match > substitute > delete > insert, walking back from
+    (m, n).  Time and memory grow with m * n.
+    """
+    m, n = len(s), len(t)
+    dist = [list(range(n + 1))]
+    for i in range(1, m + 1):
+        previous = dist[-1]
+        row = [i] * (n + 1)
+        sc = s[i - 1]
+        for j in range(1, n + 1):
+            best = previous[j - 1] + (sc != t[j - 1])
+            left = row[j - 1] + 1
+            if left < best:
+                best = left
+            up = previous[j] + 1
+            if up < best:
+                best = up
+            row[j] = best
+        dist.append(row)
+
+    path: list[str] = []
+    i, j = m, n
+    while i or j:
+        here = dist[i][j]
+        if i and j and s[i - 1] == t[j - 1] and dist[i - 1][j - 1] == here:
+            path.append("match")
+            i -= 1
+            j -= 1
+        elif i and j and s[i - 1] != t[j - 1] and dist[i - 1][j - 1] + 1 == here:
+            path.append("substitute")
+            i -= 1
+            j -= 1
+        elif i and dist[i - 1][j] + 1 == here:
+            path.append("delete")
+            i -= 1
+        else:
+            path.append("insert")
+            j -= 1
+    path.reverse()
+    return path

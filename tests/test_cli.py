@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from gecclean import cli
 from gecclean.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -133,6 +134,29 @@ class TestM2Pipeline:
         assert main(["score", "--gold", str(gold), "--hyp", str(hyp)]) == 1
         assert "hypothesis" in capsys.readouterr().err
 
+    def test_hypothesis_lines_end_at_newline_only(self, tmp_path, capsys):
+        corpus = write(tmp_path / "in.tsv", TWO_GROUP_TSV)
+        gold = tmp_path / "gold.m2"
+        main(["to-m2", str(corpus), "-o", str(gold)])
+        # A lone CR is not a line break: this is one hypothesis, not two.
+        hyp = tmp_path / "hyp.txt"
+        hyp.write_bytes(b"ax\rcd\n")
+        assert main(["score", "--gold", str(gold), "--hyp", str(hyp)]) == 1
+        assert "2 gold entries but 1 hypothesis lines" in capsys.readouterr().err
+
+    def test_crlf_hypotheses_score_like_lf(self, tmp_path, capsys):
+        corpus = write(tmp_path / "in.tsv", TWO_GROUP_TSV)
+        gold = tmp_path / "gold.m2"
+        main(["to-m2", str(corpus), "-o", str(gold)])
+        reports = []
+        for name, data in (("lf.txt", b"abcf\npq\n"), ("crlf.txt", b"abcf\r\npq\r\n")):
+            hyp = tmp_path / name
+            hyp.write_bytes(data)
+            assert main(["score", "--gold", str(gold), "--hyp", str(hyp), "--json"]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["recall"] < 1.0
+
     def test_score_output_file_and_sidecar(self, tmp_path):
         corpus = write(tmp_path / "in.tsv", TWO_GROUP_TSV)
         gold = tmp_path / "gold.m2"
@@ -192,3 +216,59 @@ class TestThreads:
             )
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts nothing."""
+
+    created: list = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable):
+        return map(fn, iterable)
+
+
+class TestThreadCap:
+    def run_clean(self, tmp_path, monkeypatch, threads, cpus):
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", _InProcessPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        _InProcessPool.created = []
+        corpus = write(tmp_path / "in.tsv", TWO_GROUP_TSV)
+        out = tmp_path / f"out{threads}.tsv"
+        code = main(
+            ["clean", str(corpus), "-o", str(out), "--strategy", "lev_sim", "--threads", threads]
+        )
+        assert code == 0
+        return _InProcessPool.created, out.read_bytes()
+
+    def test_workers_capped_by_chunks(self, tmp_path, monkeypatch):
+        # Two groups make two chunks, whatever --threads asks for.
+        created, data = self.run_clean(tmp_path, monkeypatch, "5000", cpus=64)
+        assert created == [2]
+        assert data == b"abcd\tabcf\npq\tpqr\n"
+
+    def test_workers_capped_by_cpus(self, tmp_path, monkeypatch):
+        assert self.run_clean(tmp_path, monkeypatch, "5000", cpus=1)[0] == [1]
+        assert self.run_clean(tmp_path, monkeypatch, "5000", cpus=None)[0] == [1]
+
+    @pytest.mark.parametrize("threads", ["0", "-3", "two"])
+    def test_threads_below_one_rejected(self, tmp_path, capsys, threads):
+        corpus = write(tmp_path / "in.tsv", TWO_GROUP_TSV)
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "clean", str(corpus), "-o", str(tmp_path / "out.tsv"),
+                    "--strategy", "lev_sim", "--threads", threads,
+                ]
+            )
+        assert excinfo.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "out.tsv").exists()

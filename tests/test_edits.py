@@ -1,4 +1,6 @@
 import itertools
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,7 @@ from gecclean.edits import (
     write_m2_file,
 )
 from gecclean.textmetrics import levenshtein_distance
-from oracles import canonical_min_path
+from oracles import align_full_matrix, canonical_min_path
 
 TABLE_SOURCE = "我能胜任这此职务"
 TABLE_REF1 = "我能胜任这职务。"
@@ -28,6 +30,38 @@ TABLE_BLOCK = (
 )
 
 mixed_text = st.text(alphabet="ab我能。x", max_size=10)
+
+# Mixed ASCII/CJK with punctuation and space, for pairs up to ~300 characters.
+WIDE_ALPHABET = "abcxyz我能胜任这此职务不是很好。，! "
+
+
+@st.composite
+def runs(draw):
+    """Long runs of few characters: many equal-cost paths to break ties in."""
+    parts = draw(
+        st.lists(st.tuples(st.sampled_from("ab我"), st.integers(1, 40)), max_size=8)
+    )
+    return "".join(char * count for char, count in parts)
+
+
+@st.composite
+def near_pairs(draw):
+    """A source of up to 300 characters and a target a few edits away."""
+    source = draw(st.text(alphabet=WIDE_ALPHABET, max_size=300))
+    chars = list(source)
+    operations = st.tuples(
+        st.integers(0, 2), st.integers(0, 300), st.sampled_from(WIDE_ALPHABET)
+    )
+    for kind, position, char in draw(st.lists(operations, max_size=12)):
+        position %= len(chars) + 1
+        if kind == 0:
+            chars.insert(position, char)
+        elif position < len(chars):
+            if kind == 1:
+                chars[position] = char
+            else:
+                del chars[position]
+    return source, "".join(chars)
 
 
 class TestEditType:
@@ -90,6 +124,70 @@ class TestAlign:
             path = align(long_source, long_source + "b")
         assert len(path) == 601
         assert any("unusually long" in record.message for record in caplog.records)
+
+
+class TestBandedAlignMatchesFullMatrix:
+    """align() fills only a band of the matrix; its path must not change."""
+
+    @pytest.mark.parametrize(
+        "s,t",
+        [
+            ("", ""),
+            ("", "我能"),
+            ("我能", ""),
+            ("ab", "aab"),
+            ("aab", "ab"),
+            ("a" * 50, "a" * 47),
+        ],
+    )
+    def test_edge_cases(self, s, t):
+        assert align(s, t) == align_full_matrix(s, t)
+
+    def test_common_prefix_keeps_its_edit_first(self):
+        # Trimming the shared "a" would move the insertion after it.
+        assert extract_edits("ab", "aab").edits == (Edit(0, 0, "a"),)
+
+    @given(st.text(alphabet="ab", max_size=40), st.text(alphabet="ab", max_size=40))
+    @settings(max_examples=300)
+    def test_binary_alphabet_ties(self, s, t):
+        assert align(s, t) == align_full_matrix(s, t)
+
+    @given(runs(), runs())
+    @settings(max_examples=100, deadline=None)
+    def test_repeated_character_runs(self, s, t):
+        assert align(s, t) == align_full_matrix(s, t)
+
+    @given(near_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_near_pairs(self, pair):
+        assert align(*pair) == align_full_matrix(*pair)
+
+    @given(
+        st.text(alphabet=WIDE_ALPHABET, max_size=300),
+        st.text(alphabet=WIDE_ALPHABET, max_size=300),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_dissimilar_pairs(self, s, t):
+        assert align(s, t) == align_full_matrix(s, t)
+
+    def test_long_near_pair_needs_little_memory(self):
+        # The full matrix of this pair has 16 million cells: hundreds of MB.
+        rng = random.Random(4000)
+        source = "".join(rng.choices(WIDE_ALPHABET, k=4000))
+        target = source[:700] + "X" + source[700:1900] + source[1901:3100] + "Y" + source[3101:]
+        tracemalloc.start()
+        try:
+            path = align(source, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+        assert sum(step != "match" for step in path) == 3
+        assert extract_edits(source, target).edits == (
+            Edit(700, 700, "X"),
+            Edit(1900, 1901, ""),
+            Edit(3100, 3101, "Y"),
+        )
 
 
 class TestExtractEdits:

@@ -1,18 +1,19 @@
 """Command-line front end wiring the pipeline together.
 
 Every command is deterministic: the same configuration and inputs produce
-byte-identical outputs, independent of ``--threads``.  File-writing commands
-record their configuration in a ``<output>.meta.json`` sidecar.
+byte-identical outputs.  File-writing commands replace each output
+atomically and then record their configuration in a ``<output>.meta.json``
+sidecar.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
+from typing import IO, Iterator
 
 from . import __version__
 from .corpus import (
@@ -42,9 +43,6 @@ from .scorer import evaluate_corpus
 from .scorer import render_report as render_score_report
 from .stats import bucket_stats, overall_stats, render_report as render_stats_report
 
-# Groups handed to each worker task; large enough to amortize pickling.
-_POOL_CHUNK = 8192
-
 
 def _read_samples(args) -> list:
     with open(args.input, "rb") as stream:
@@ -61,48 +59,67 @@ def _read_groups(args) -> list:
     return groups
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as out:
-        out.write(text)
+def _read_lines(path: str) -> Iterator[str]:
+    """Yield the lines of a UTF-8 file, each with its line ending.
+
+    Lines end at "\n" only, as in the corpus reader: a lone "\r" is data.
+    Invalid UTF-8 is reported with the file and the line.
+    """
+    with open(path, "rb") as stream:
+        for number, raw in enumerate(stream, 1):
+            try:
+                yield raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}:{number}: invalid UTF-8: {exc}") from None
+
+
+@contextlib.contextmanager
+def _atomic_write(path: str) -> Iterator[IO[str]]:
+    """Open a text stream whose content replaces ``path`` once complete.
+
+    The text goes to a temporary file in the same directory, which
+    ``os.replace`` renames over ``path`` when the block ends without an
+    error. On an error the temporary file is removed and any previous
+    ``path`` is left as it was.
+    """
+    temp = f"{path}.{os.getpid()}.tmp"
+    out = open(temp, "w", encoding="utf-8", newline="\n")
+    try:
+        with out:
+            yield out
+        os.replace(temp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(temp)
+        raise
 
 
 def _write_meta(output: str, command: str, config: dict) -> None:
+    """Write the ``<output>.meta.json`` sidecar; call it after the output."""
     meta = {
         "tool": "gecclean",
         "version": __version__,
         "command": command,
         "config": config,
     }
-    payload = json.dumps(meta, indent=2, sort_keys=True) + "\n"
-    _write_text(f"{output}.meta.json", payload)
+    with _atomic_write(f"{output}.meta.json") as out:
+        out.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def _emit(args, text: str, command: str, config: dict) -> None:
     if args.output is None:
         sys.stdout.write(text)
     else:
-        _write_text(args.output, text)
+        with _atomic_write(args.output) as out:
+            out.write(text)
         _write_meta(args.output, command, config)
 
 
 def _cmd_clean(args) -> int:
     groups = _read_groups(args)
     config = SelectionConfig(Strategy.parse(args.strategy), args.seed)
-    if args.threads > 1 and groups:
-        # map() preserves chunk order, so the output is byte-identical to
-        # the sequential path regardless of worker count.
-        chunk = max(1, min(_POOL_CHUNK, -(-len(groups) // (args.threads * 4))))
-        chunks = [groups[i : i + chunk] for i in range(0, len(groups), chunk)]
-        # The pool starts all its workers at once; more than there are CPUs
-        # or chunks would only cost processes.
-        workers = min(args.threads, os.cpu_count() or 1, len(chunks))
-        samples = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(partial(clean_corpus, config=config), chunks):
-                samples.extend(part)
-    else:
-        samples = clean_corpus(groups, config)
-    with open(args.output, "w", encoding="utf-8", newline="\n") as out:
+    samples = clean_corpus(groups, config)
+    with _atomic_write(args.output) as out:
         count = write_parallel(samples, out)
     _write_meta(
         args.output,
@@ -152,7 +169,7 @@ def _cmd_to_m2(args) -> int:
         )
         for group in groups
     )
-    with open(args.output, "w", encoding="utf-8", newline="\n") as out:
+    with _atomic_write(args.output) as out:
         count = write_m2_file(blocks, out)
     _write_meta(
         args.output,
@@ -168,15 +185,13 @@ def _cmd_to_m2(args) -> int:
 
 
 def _cmd_apply_m2(args) -> int:
-    lines = []
-    with open(args.input, "r", encoding="utf-8", newline="") as stream:
-        for source, annotations in read_m2_file(stream):
+    count = 0
+    with _atomic_write(args.output) as out:
+        for source, annotations in read_m2_file(_read_lines(args.input)):
             for annotation in annotations:
-                lines.append(apply_edits(source, annotation))
-    _write_text(args.output, "".join(line + "\n" for line in lines))
-    _write_meta(
-        args.output, "apply-m2", {"input": args.input, "sentences": len(lines)}
-    )
+                out.write(apply_edits(source, annotation) + "\n")
+                count += 1
+    _write_meta(args.output, "apply-m2", {"input": args.input, "sentences": count})
     return 0
 
 
@@ -189,7 +204,7 @@ def _cmd_ablate(args) -> int:
     written = {}
     for n, samples in datasets.items():
         path = f"{args.output}.n{n}.tsv"
-        with open(path, "w", encoding="utf-8", newline="\n") as out:
+        with _atomic_write(path) as out:
             written[path] = write_parallel(samples, out)
     _write_meta(
         args.output,
@@ -208,12 +223,9 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    # Lines end at "\n" only, as in the corpus and M2 readers; normalize()
-    # drops the "\r" of a CRLF ending.
-    with open(args.hyp, "r", encoding="utf-8", newline="\n") as stream:
-        hypotheses = [normalize(line) for line in stream]
-    with open(args.gold, "r", encoding="utf-8", newline="") as stream:
-        gold = list(read_m2_file(stream))
+    # normalize() drops the "\r" of a CRLF ending.
+    hypotheses = [normalize(line) for line in _read_lines(args.hyp)]
+    gold = list(read_m2_file(_read_lines(args.gold)))
     if len(gold) != len(hypotheses):
         raise ValueError(
             f"{len(gold)} gold entries but {len(hypotheses)} hypothesis lines"
@@ -274,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=_positive_int,
         default=1,
-        help="worker processes, at most one per CPU (output is identical)",
+        help="accepted for compatibility; must be at least 1, changes nothing",
     )
     clean.set_defaults(handler=_cmd_clean)
 
@@ -318,7 +330,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ablate.add_argument("--seed", type=int, default=42, help="shuffle seed")
     ablate.add_argument(
-        "--max-groups", type=int, default=None, help="sub-sample to this many groups"
+        "--max-groups",
+        type=_positive_int,
+        default=None,
+        help="sub-sample to this many groups",
     )
     ablate.set_defaults(handler=_cmd_ablate)
 

@@ -72,8 +72,8 @@ def score_target(strategy: Strategy, source: str, target: str) -> float | int:
 
 def _group_rng(seed: int, source: str) -> random.Random:
     # Keyed digest of the source text: every group gets its own stream,
-    # independent of processing order, so concurrent and sequential runs
-    # produce identical choices.
+    # independent of processing order, so a group's choice does not depend
+    # on which other groups the corpus holds or where they appear.
     digest = hashlib.blake2b(
         source.encode("utf-8"),
         digest_size=8,

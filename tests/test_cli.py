@@ -1,12 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from gecclean import cli
 from gecclean.cli import main
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).parent.parent / "src"
 
 TWO_GROUP_TSV = "abcd\tabcf\nabcd\tab\npq\tpqr\n"
 
@@ -168,6 +171,50 @@ class TestM2Pipeline:
         meta = json.loads((tmp_path / "report.txt.meta.json").read_text(encoding="utf-8"))
         assert meta["command"] == "score"
 
+    def test_failed_to_m2_keeps_previous_output_and_sidecar(self, tmp_path, capsys):
+        good = write(tmp_path / "ok.tsv", TWO_GROUP_TSV)
+        gold = tmp_path / "gold.m2"
+        assert main(["to-m2", str(good), "-o", str(gold)]) == 0
+        before = sorted(tmp_path.iterdir())
+        output, sidecar = gold.read_bytes(), (tmp_path / "gold.m2.meta.json").read_bytes()
+        # The last target cannot be written as M2, after many that can.
+        lines = [f"s{i}x\ts{i}y" for i in range(2000)] + ["ab\ta|||b"]
+        bad = write(tmp_path / "bad.tsv", "\n".join(lines) + "\n")
+        assert main(["to-m2", str(bad), "-o", str(gold)]) == 1
+        assert "collides with M2 markers" in capsys.readouterr().err
+        assert gold.read_bytes() == output
+        assert (tmp_path / "gold.m2.meta.json").read_bytes() == sidecar
+        assert sorted(tmp_path.iterdir()) == sorted(before + [bad])
+
+    @pytest.mark.parametrize(
+        "command, bad_file",
+        [("score", "hyp"), ("score", "gold"), ("apply-m2", "gold")],
+    )
+    def test_invalid_utf8_names_file_and_line(self, tmp_path, capsys, command, bad_file):
+        corpus = write(tmp_path / "in.tsv", TWO_GROUP_TSV)
+        gold = tmp_path / "gold.m2"
+        main(["to-m2", str(corpus), "-o", str(gold)])
+        hyp = write(tmp_path / "hyp.txt", "abcf\npqr\n")
+        target = hyp if bad_file == "hyp" else gold
+        lines = target.read_bytes().split(b"\n")
+        lines[1] = lines[1][:6] + b"\xff" + lines[1][6:]
+        target.write_bytes(b"\n".join(lines))
+        if command == "score":
+            argv = ["score", "--gold", str(gold), "--hyp", str(hyp)]
+        else:
+            argv = ["apply-m2", str(gold), "-o", str(tmp_path / "out.txt")]
+        assert main(argv) == 1
+        assert f"{target}:2: invalid UTF-8: " in capsys.readouterr().err
+
+    def test_apply_m2_lone_cr_is_not_a_line_break(self, tmp_path, capsys):
+        noop = "A -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||0\n"
+        gold = tmp_path / "gold.m2"
+        gold.write_bytes(f"S a b\n{noop}\nS a\rb\n{noop}".encode("utf-8"))
+        assert main(["apply-m2", str(gold), "-o", str(tmp_path / "out.txt")]) == 1
+        err = capsys.readouterr().err
+        assert "line 4: multi-character token" in err
+        assert "line 5" not in err
+
 
 class TestAblate:
     def test_one_tsv_per_n(self, tmp_path):
@@ -200,6 +247,19 @@ class TestAblate:
         assert code == 1
         assert "k_min" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("max_groups", ["0", "-1"])
+    def test_max_groups_below_one_rejected(self, tmp_path, capsys, max_groups):
+        corpus = write(tmp_path / "in.tsv", "s\ta\ns\tb\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "ablate", str(corpus), "-o", str(tmp_path / "x"),
+                    "--k-min", "2", "--n-values", "1", "--max-groups", max_groups,
+                ]
+            )
+        assert excinfo.value.code == 2
+        assert "--max-groups" in capsys.readouterr().err
+
 
 class TestThreads:
     def test_thread_count_does_not_change_bytes(self, tmp_path):
@@ -217,48 +277,26 @@ class TestThreads:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
-
-class _InProcessPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, starts nothing."""
-
-    created: list = []
-
-    def __init__(self, max_workers):
-        self.created.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, iterable):
-        return map(fn, iterable)
+    def test_cli_import_loads_no_process_pool(self):
+        # --threads starts no processes, so the CLI must not pay for the
+        # process-pool modules on every start.
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        probe = (
+            "import sys, gecclean.cli; print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        assert result.stdout == "[]\n"
 
 
 class TestThreadCap:
-    def run_clean(self, tmp_path, monkeypatch, threads, cpus):
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", _InProcessPool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-        _InProcessPool.created = []
-        corpus = write(tmp_path / "in.tsv", TWO_GROUP_TSV)
-        out = tmp_path / f"out{threads}.tsv"
-        code = main(
-            ["clean", str(corpus), "-o", str(out), "--strategy", "lev_sim", "--threads", threads]
-        )
-        assert code == 0
-        return _InProcessPool.created, out.read_bytes()
-
-    def test_workers_capped_by_chunks(self, tmp_path, monkeypatch):
-        # Two groups make two chunks, whatever --threads asks for.
-        created, data = self.run_clean(tmp_path, monkeypatch, "5000", cpus=64)
-        assert created == [2]
-        assert data == b"abcd\tabcf\npq\tpqr\n"
-
-    def test_workers_capped_by_cpus(self, tmp_path, monkeypatch):
-        assert self.run_clean(tmp_path, monkeypatch, "5000", cpus=1)[0] == [1]
-        assert self.run_clean(tmp_path, monkeypatch, "5000", cpus=None)[0] == [1]
-
     @pytest.mark.parametrize("threads", ["0", "-3", "two"])
     def test_threads_below_one_rejected(self, tmp_path, capsys, threads):
         corpus = write(tmp_path / "in.tsv", TWO_GROUP_TSV)

@@ -44,13 +44,26 @@ from .scorer import render_report as render_score_report
 from .stats import bucket_stats, overall_stats, render_report as render_stats_report
 
 
+@contextlib.contextmanager
+def _name_errors(path: str) -> Iterator[None]:
+    """Prefix a format error raised in the block with the file it came from.
+
+    ``ParallelFormatError`` and ``M2FormatError`` give the line only; the
+    message becomes ``<path>: line N: ...``.
+    """
+    try:
+        yield
+    except (ParallelFormatError, M2FormatError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def _read_samples(args) -> list:
-    with open(args.input, "rb") as stream:
+    with open(args.input, "rb") as stream, _name_errors(args.input):
         return list(parse_parallel(stream, multi_target=args.multi_target_lines))
 
 
 def _read_groups(args) -> list:
-    with open(args.input, "rb") as stream:
+    with open(args.input, "rb") as stream, _name_errors(args.input):
         groups = group_by_source(
             parse_parallel(stream, multi_target=args.multi_target_lines)
         )
@@ -186,7 +199,7 @@ def _cmd_to_m2(args) -> int:
 
 def _cmd_apply_m2(args) -> int:
     count = 0
-    with _atomic_write(args.output) as out:
+    with _atomic_write(args.output) as out, _name_errors(args.input):
         for source, annotations in read_m2_file(_read_lines(args.input)):
             for annotation in annotations:
                 out.write(apply_edits(source, annotation) + "\n")
@@ -225,7 +238,8 @@ def _cmd_ablate(args) -> int:
 def _cmd_score(args) -> int:
     # normalize() drops the "\r" of a CRLF ending.
     hypotheses = [normalize(line) for line in _read_lines(args.hyp)]
-    gold = list(read_m2_file(_read_lines(args.gold)))
+    with _name_errors(args.gold):
+        gold = list(read_m2_file(_read_lines(args.gold)))
     if len(gold) != len(hypotheses):
         raise ValueError(
             f"{len(gold)} gold entries but {len(hypotheses)} hypothesis lines"
@@ -353,7 +367,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ParallelFormatError, M2FormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"gecclean {args.command}: error: {exc}", file=sys.stderr)
         return 1
 

@@ -46,7 +46,12 @@ def normalize(text: str) -> str:
     and punctuation are kept as written so edit counts stay faithful to the
     original text.
     """
-    return unicodedata.normalize("NFC", text.strip().translate(_CONTROL_CHARS))
+    text = text.strip()
+    # The TSV reader has already split on these, so they are rare here;
+    # three membership tests cost far less than a translate.
+    if "\t" in text or "\r" in text or "\n" in text:
+        text = text.translate(_CONTROL_CHARS)
+    return unicodedata.normalize("NFC", text)
 
 
 def parse_parallel(

@@ -23,11 +23,11 @@ replacement must not collide with them; serialization rejects such edits.
 from __future__ import annotations
 
 import logging
-from collections import Counter
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Sequence
 
 from .corpus import normalize
+from .textmetrics import levenshtein_distance
 
 logger = logging.getLogger(__name__)
 
@@ -36,10 +36,10 @@ SUBSTITUTE = "substitute"
 DELETE = "delete"
 INSERT = "insert"
 
-# Pairs longer than this are still aligned.  The banded alignment keeps
-# near pairs cheap at any length, but a long dissimilar pair still fills
-# close to the full length x length matrix; flag them so batch callers
-# can notice.
+# Pairs longer than this are still aligned.  The band is sized once from
+# the exact distance, so near pairs stay cheap at any length, but a long
+# dissimilar pair still fills close to the full length x length matrix;
+# flag them so batch callers can notice.
 ALIGN_LENGTH_FLAG = 512
 
 _NONE_FIELD = "-NONE-"
@@ -150,21 +150,6 @@ def _band_rows(s: str, t: str, klo: int, khi: int) -> list[list[int]]:
     return rows
 
 
-def _multiset_bound(s: str, t: str) -> int:
-    """A lower bound on the edit distance from character counts alone.
-
-    Each edit removes at most one surplus character of s and at most one
-    surplus character of t.
-    """
-    counts = Counter(t)
-    surplus = 0
-    for char, count in Counter(s).items():
-        count -= counts.get(char, 0)
-        if count > 0:
-            surplus += count
-    return max(surplus, surplus + len(t) - len(s))
-
-
 def align(s: str, t: str) -> list[str]:
     """Minimum-cost unit-cost alignment path from s to t.
 
@@ -175,9 +160,10 @@ def align(s: str, t: str) -> list[str]:
 
     The path is the one a backtrace over the full (m+1) x (n+1) distance
     matrix would take, but only a band of diagonals around it is filled
-    (Ukkonen 1985).  After the common suffix is trimmed, a pair at
-    distance d fills O((m + n) * (d + 1)) cells, and no pass over the
-    band holds more cells than the full matrix.
+    (Ukkonen 1985).  After the common suffix is trimmed, the exact
+    distance d (``levenshtein_distance``) sizes the band once: a pair
+    fills O((m + n) * (d + 1)) cells in one pass, and never more cells
+    than the full matrix.
     """
     m, n = len(s), len(t)
     if m > ALIGN_LENGTH_FLAG or n > ALIGN_LENGTH_FLAG:
@@ -194,30 +180,18 @@ def align(s: str, t: str) -> list[str]:
 
     # The band spans diagonals k = j - i from min(0, n-m) - p to
     # max(0, n-m) + p.  A path that leaves it costs at least gap + 2p + 2,
-    # so when D(m, n) in the band is at most gap + 2p + 1, every optimal
-    # path lies inside and the band holds its cells exactly.  Otherwise
-    # the distance lies between that limit and the band's D(m, n): double
-    # the limit, starting from the character-count bound on the first
-    # retry, until the band certifies itself or covers the whole matrix.
+    # so with p = (d - gap) // 2 every optimal path lies inside, and the
+    # band holds its cells exactly; no narrower band certifies itself.
+    d = levenshtein_distance(s, t)
     gap = abs(n - m)
-    p = 0
-    while True:
-        klo = max(min(0, n - m) - p, -m)
-        khi = min(max(0, n - m) + p, n)
-        if 2 * (khi - klo) > n:
-            # A band over more than half the columns costs about as much as
-            # the whole matrix, which never needs another pass.
-            klo, khi = -m, n
-        rows = _band_rows(s, t, klo, khi)
-        here = rows[m][n - max(0, m + klo)]
-        limit = gap + 2 * p + 1
-        if here <= limit or (klo == -m and khi == n):
-            break
-        target = 2 * limit
-        if p == 0:
-            target = max(target, _multiset_bound(s, t))
-        p = (min(target, here) - gap) // 2
-        rows = []  # free this pass before filling the wider one
+    p = (d - gap) // 2
+    klo = max(min(0, n - m) - p, -m)
+    khi = min(max(0, n - m) + p, n)
+    if 2 * (khi - klo) > n:
+        # A band over more than half the columns costs about as much as
+        # the whole matrix.
+        klo, khi = -m, n
+    rows = _band_rows(s, t, klo, khi)
 
     # Backtrace from (m, n).  Every cell it visits lies on an optimal path,
     # so it is inside the band; a neighbour outside the band reads as too
@@ -226,6 +200,7 @@ def align(s: str, t: str) -> list[str]:
     path: list[str] = []
     push = path.append
     i, j = m, n
+    here = d
     while i and j:
         if s[i - 1] == t[j - 1]:
             push(MATCH)

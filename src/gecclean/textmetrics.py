@@ -7,11 +7,14 @@ def levenshtein_distance(s: str, t: str) -> int:
     """Unit-cost edit distance between the character sequences of s and t.
 
     Insertions, deletions and substitutions all cost 1; transpositions are
-    not a primitive.  Runs in O(len(s) * len(t)) time and O(min) memory.
+    not a primitive.  Computed with Myers' bit-vector recurrence in
+    Hyyrö's global edit-distance form (Myers 1999; Hyyrö 2001): a fixed
+    number of integer operations per character of the longer string, on
+    Python ints of O(len(shorter)) bits.
     """
     if s == t:
         return 0
-    # Shared affixes never change the distance; trimming them keeps the DP
+    # Shared affixes never change the distance; trimming them keeps the
     # core tiny on the near-identical pairs that dominate GEC corpora.
     limit = min(len(s), len(t))
     prefix = 0
@@ -28,22 +31,30 @@ def levenshtein_distance(s: str, t: str) -> int:
         return len(s)
     if len(s) > len(t):
         s, t = t, s
-    row = list(range(len(s) + 1))
-    for j, tc in enumerate(t, 1):
-        diagonal = row[0]
-        row[0] = j
-        for i, sc in enumerate(s, 1):
-            above = row[i]
-            best = diagonal if sc == tc else diagonal + 1
-            left = row[i - 1] + 1
-            if left < best:
-                best = left
-            up = above + 1
-            if up < best:
-                best = up
-            row[i] = best
-            diagonal = above
-    return row[-1]
+    # Bit i of peq[c] is set when s[i] == c.  Column j of the DP matrix
+    # D(i, j) is held as its vertical deltas D(i, j) - D(i-1, j): bit i-1
+    # of pv is set where the delta is +1, of mv where it is -1.
+    peq: dict[str, int] = {}
+    bit = 1
+    for char in s:
+        peq[char] = peq.get(char, 0) | bit
+        bit <<= 1
+    full = bit - 1
+    pv = full
+    mv = 0
+    get = peq.get
+    for char in t:
+        eq = get(char, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        # Horizontal deltas D(i, j) - D(i, j-1), +1 in ph and -1 in mh;
+        # the shift carries in row 0, where D(0, j) = j always rises by 1.
+        ph = ((mv | (full ^ (xh | pv))) << 1) | 1
+        mh = (pv & xh) << 1
+        pv = (mh | ~(xv | ph)) & full
+        mv = ph & xv
+    # D(m, n) is D(0, n) = n plus the vertical deltas of the last column.
+    return len(t) + pv.bit_count() - mv.bit_count()
 
 
 def levenshtein_ratio(s: str, t: str) -> float:

@@ -3,8 +3,10 @@
 Nothing here shares code with the package under test: the distance oracle
 is the plain recursive definition, the alignment oracle enumerates every
 minimum-cost path and applies the documented tie-break to pick the
-canonical one, and ``align_full_matrix`` is the aligner the package used
-before it switched to a banded fill, kept as the reference for long pairs.
+canonical one, ``align_full_matrix`` is the aligner the package used
+before it switched to a banded fill, and ``levenshtein_distance_dp`` is the
+row DP the package used before its bit-vector kernel; the last two are
+kept as the references for long pairs.
 """
 
 from __future__ import annotations
@@ -137,3 +139,46 @@ def align_full_matrix(s: str, t: str) -> list[str]:
             j -= 1
     path.reverse()
     return path
+
+
+def levenshtein_distance_dp(s: str, t: str) -> int:
+    """Unit-cost edit distance by a row-by-row DP over every cell.
+
+    Shared affixes are trimmed first.  Runs in O(len(s) * len(t)) time and
+    O(min) memory.
+    """
+    if s == t:
+        return 0
+    # Shared affixes never change the distance; trimming them keeps the DP
+    # core tiny on the near-identical pairs that dominate GEC corpora.
+    limit = min(len(s), len(t))
+    prefix = 0
+    while prefix < limit and s[prefix] == t[prefix]:
+        prefix += 1
+    suffix = 0
+    while suffix < limit - prefix and s[-1 - suffix] == t[-1 - suffix]:
+        suffix += 1
+    s = s[prefix : len(s) - suffix]
+    t = t[prefix : len(t) - suffix]
+    if not s:
+        return len(t)
+    if not t:
+        return len(s)
+    if len(s) > len(t):
+        s, t = t, s
+    row = list(range(len(s) + 1))
+    for j, tc in enumerate(t, 1):
+        diagonal = row[0]
+        row[0] = j
+        for i, sc in enumerate(s, 1):
+            above = row[i]
+            best = diagonal if sc == tc else diagonal + 1
+            left = row[i - 1] + 1
+            if left < best:
+                best = left
+            up = above + 1
+            if up < best:
+                best = up
+            row[i] = best
+            diagonal = above
+    return row[-1]

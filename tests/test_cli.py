@@ -310,3 +310,36 @@ class TestThreadCap:
         assert excinfo.value.code == 2
         assert "--threads" in capsys.readouterr().err
         assert not (tmp_path / "out.tsv").exists()
+
+
+class TestFormatErrorsNameTheFile:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["clean", "{tsv}", "-o", "{out}", "--strategy", "lev_sim"],
+            ["stats", "{tsv}"],
+            ["to-m2", "{tsv}", "-o", "{out}"],
+            ["ablate", "{tsv}", "-o", "{out}", "--k-min", "1", "--n-values", "1"],
+        ],
+        ids=["clean", "stats", "to-m2", "ablate"],
+    )
+    def test_tsv_input(self, tmp_path, capsys, argv):
+        tsv = write(tmp_path / "in.tsv", "ok\tfine\nbroken\n")
+        out = tmp_path / "out"
+        argv = [arg.format(tsv=tsv, out=out) for arg in argv]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{tsv}: line 2: expected at least 2 tab-separated fields" in err
+
+    def test_apply_m2_input(self, tmp_path, capsys):
+        gold = write(tmp_path / "gold.m2", "S a b\nA 0 1|||X|||b|||REQUIRED|||-NONE-|||0\n")
+        assert main(["apply-m2", str(gold), "-o", str(tmp_path / "out.txt")]) == 1
+        assert f"{gold}: line 2: unknown edit kind 'X'" in capsys.readouterr().err
+
+    def test_score_names_gold_not_hypothesis(self, tmp_path, capsys):
+        gold = write(tmp_path / "gold.m2", "S a b\nA 0 1|||X|||b|||REQUIRED|||-NONE-|||0\n")
+        hyp = write(tmp_path / "hyp.txt", "b b\n")
+        assert main(["score", "--gold", str(gold), "--hyp", str(hyp)]) == 1
+        err = capsys.readouterr().err
+        assert f"{gold}: line 2: unknown edit kind 'X'" in err
+        assert str(hyp) not in err

@@ -1,4 +1,5 @@
 import io
+import unicodedata
 
 import pytest
 from hypothesis import given, strategies as st
@@ -34,6 +35,21 @@ class TestNormalize:
     def test_idempotent(self):
         text = normalize(" café́ x ")
         assert normalize(text) == text
+
+    @given(
+        st.text(
+            alphabet=st.sampled_from(
+                ["a", "e", "我", "。", " ", "\u3000", "\t", "\r", "\n",
+                 "\u0301", "\u0308", "\U0001F600"]
+            ),
+            max_size=30,
+        )
+    )
+    def test_matches_strip_translate_nfc(self, text):
+        # normalize() skips the translate when no tab, CR or LF is left.
+        control = dict.fromkeys(map(ord, "\t\r\n"))
+        expected = unicodedata.normalize("NFC", text.strip().translate(control))
+        assert normalize(text) == expected
 
 
 class TestParseParallel:

@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gecclean import edits
 from gecclean.edits import (
     Annotation,
     Edit,
@@ -188,6 +189,43 @@ class TestBandedAlignMatchesFullMatrix:
             Edit(1900, 1901, ""),
             Edit(3100, 3101, "Y"),
         )
+
+
+def _band_pairs():
+    rng = random.Random(200)
+    source = "".join(rng.choices(WIDE_ALPHABET, k=200))
+    unrelated = "".join(rng.choices(WIDE_ALPHABET, k=200))
+    long_source = "".join(rng.choices(WIDE_ALPHABET, k=2000))
+    long_near = long_source[:500] + "X" + long_source[501:1500] + long_source[1502:]
+    return {
+        "table": (TABLE_SOURCE, TABLE_REF1),
+        "near": (source, source[:80] + "我" + source[81:]),
+        "long-near": (long_source, long_near),
+        "unrelated": (source, unrelated),
+        "unrelated-shorter": (unrelated, source[:120]),
+    }
+
+
+BAND_PAIRS = _band_pairs()
+
+
+class TestBandFilledOnce:
+    """align() sizes its band from the exact distance and fills it once."""
+
+    @pytest.mark.parametrize("name", BAND_PAIRS)
+    def test_one_fill_per_pair(self, name, monkeypatch):
+        s, t = BAND_PAIRS[name]
+        calls = []
+        fill = edits._band_rows
+
+        def counting(*args):
+            calls.append(args)
+            return fill(*args)
+
+        monkeypatch.setattr(edits, "_band_rows", counting)
+        path = align(s, t)
+        assert len(calls) == 1
+        assert path == align_full_matrix(s, t)
 
 
 class TestExtractEdits:

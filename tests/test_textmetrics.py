@@ -1,16 +1,45 @@
 import itertools
+import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gecclean.textmetrics import (
     jaccard_similarity,
     levenshtein_distance,
     levenshtein_ratio,
 )
-from oracles import levenshtein_recursive
+from oracles import levenshtein_distance_dp, levenshtein_recursive
 
 short_text = st.text(alphabet="ab我。", max_size=8)
+
+# Mixed CJK/ASCII with punctuation and space: long enough that the bit
+# masks run well past one 64-bit machine word.
+WIDE_ALPHABET = "abcxyz我能胜任这此职务不是很好。，! ?"
+# Astral-plane characters, combining marks and characters whose NFC form
+# differs: the kernel compares code points and must not care which.
+ODD_ALPHABET = ["a", "e", "\u0301", "\u0308", "é", "\U0001F600", "\U00020000", "𝔸", "我"]
+
+
+@st.composite
+def edited_pairs(draw, alphabet, max_size):
+    """A string and a copy of it a few insertions, substitutions and
+    deletions away."""
+    source = draw(st.text(alphabet=alphabet, max_size=max_size))
+    chars = list(source)
+    operations = st.tuples(
+        st.integers(0, 2), st.integers(0, max_size), st.sampled_from(alphabet)
+    )
+    for kind, position, char in draw(st.lists(operations, max_size=12)):
+        position %= len(chars) + 1
+        if kind == 0:
+            chars.insert(position, char)
+        elif position < len(chars):
+            if kind == 1:
+                chars[position] = char
+            else:
+                del chars[position]
+    return source, "".join(chars)
 
 
 class TestLevenshteinDistance:
@@ -51,6 +80,53 @@ class TestLevenshteinDistance:
     @given(short_text, short_text)
     def test_zero_iff_equal(self, s, t):
         assert (levenshtein_distance(s, t) == 0) == (s == t)
+
+
+class TestBitVectorMatchesRowDP:
+    """levenshtein_distance runs a bit-vector kernel; it must equal the DP."""
+
+    @given(st.text(alphabet="ab", max_size=80), st.text(alphabet="ab", max_size=80))
+    @settings(max_examples=300)
+    def test_binary_alphabet_ties(self, s, t):
+        assert levenshtein_distance(s, t) == levenshtein_distance_dp(s, t)
+
+    @given(
+        st.text(alphabet=WIDE_ALPHABET, max_size=300),
+        st.text(alphabet=WIDE_ALPHABET, max_size=300),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_dissimilar_mixed_pairs(self, s, t):
+        assert levenshtein_distance(s, t) == levenshtein_distance_dp(s, t)
+
+    @given(edited_pairs(WIDE_ALPHABET, 300))
+    @settings(max_examples=150, deadline=None)
+    def test_near_mixed_pairs(self, pair):
+        assert levenshtein_distance(*pair) == levenshtein_distance_dp(*pair)
+
+    @given(
+        st.text(alphabet=ODD_ALPHABET, max_size=120),
+        st.text(alphabet=ODD_ALPHABET, max_size=120),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_astral_and_combining_characters(self, s, t):
+        assert levenshtein_distance(s, t) == levenshtein_distance_dp(s, t)
+
+    @given(edited_pairs(ODD_ALPHABET, 120))
+    @settings(max_examples=100, deadline=None)
+    def test_astral_and_combining_near_pairs(self, pair):
+        assert levenshtein_distance(*pair) == levenshtein_distance_dp(*pair)
+
+    def test_long_near_pair(self):
+        rng = random.Random(3000)
+        source = "".join(rng.choices(WIDE_ALPHABET, k=3000))
+        target = (
+            source[:400] + "X" + source[400:1500] + source[1502:2600]
+            + "YZ" + source[2601:]
+        )
+        expected = levenshtein_distance_dp(source, target)
+        assert expected == 5
+        assert levenshtein_distance(source, target) == expected
+        assert levenshtein_distance(target, source) == expected
 
 
 class TestLevenshteinRatio:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Sequence
 
 from .corpus import normalize
-from .textmetrics import levenshtein_distance
+from .textmetrics import common_affixes, levenshtein_distance
 
 logger = logging.getLogger(__name__)
 
@@ -36,10 +36,11 @@ SUBSTITUTE = "substitute"
 DELETE = "delete"
 INSERT = "insert"
 
-# Pairs longer than this are still aligned.  The band is sized once from
-# the exact distance, so near pairs stay cheap at any length, but a long
-# dissimilar pair still fills close to the full length x length matrix;
-# flag them so batch callers can notice.
+# Pairs longer than this are still aligned.  Only the core left after the
+# common prefix and suffix is filled, in a band sized once from its exact
+# distance, so a long near pair costs only its core; but a long dissimilar
+# pair still fills close to the full length x length matrix, so flag long
+# pairs for batch callers to notice.
 ALIGN_LENGTH_FLAG = 512
 
 _NONE_FIELD = "-NONE-"
@@ -160,73 +161,99 @@ def align(s: str, t: str) -> list[str]:
 
     The path is the one a backtrace over the full (m+1) x (n+1) distance
     matrix would take, but only a band of diagonals around it is filled
-    (Ukkonen 1985).  After the common suffix is trimmed, the exact
-    distance d (``levenshtein_distance``) sizes the band once: a pair
-    fills O((m + n) * (d + 1)) cells in one pass, and never more cells
-    than the full matrix.
+    (Ukkonen 1985), and only over the core left after the common prefix
+    and suffix are trimmed.  The exact distance d of the core
+    (``levenshtein_distance``) sizes the band once: a core of lengths
+    m', n' fills O((m' + n') * (d + 1)) cells in one pass, and never more
+    cells than its full matrix.
     """
     m, n = len(s), len(t)
     if m > ALIGN_LENGTH_FLAG or n > ALIGN_LENGTH_FLAG:
         logger.warning("aligning an unusually long pair (%d x %d tokens)", m, n)
     # D(i, j) = D(i-1, j-1) whenever s[i-1] == t[j-1], so the backtrace
-    # takes a common suffix as matches.  A common prefix cannot be trimmed
-    # the same way: the tie-break may place an edit inside it, as in
-    # "ab" -> "aab", whose inserted "a" comes first.
-    while m and n and s[m - 1] == t[n - 1]:
-        m -= 1
-        n -= 1
-    suffix = len(s) - m
-    s, t = s[:m], t[:n]
+    # takes a common suffix as matches.
+    prefix, suffix = common_affixes(s, t)
+    m -= suffix
+    n -= suffix
 
-    # The band spans diagonals k = j - i from min(0, n-m) - p to
-    # max(0, n-m) + p.  A path that leaves it costs at least gap + 2p + 2,
-    # so with p = (d - gap) // 2 every optimal path lies inside, and the
-    # band holds its cells exactly; no narrower band certifies itself.
-    d = levenshtein_distance(s, t)
-    gap = abs(n - m)
-    p = (d - gap) // 2
-    klo = max(min(0, n - m) - p, -m)
-    khi = min(max(0, n - m) + p, n)
-    if 2 * (khi - klo) > n:
-        # A band over more than half the columns costs about as much as
-        # the whole matrix.
-        klo, khi = -m, n
-    rows = _band_rows(s, t, klo, khi)
-
-    # Backtrace from (m, n).  Every cell it visits lies on an optimal path,
-    # so it is inside the band; a neighbour outside the band reads as too
-    # large to be chosen, exactly as it would fail the same test in the
-    # full matrix.
     path: list[str] = []
     push = path.append
-    i, j = m, n
-    here = d
-    while i and j:
+    # The core s[prefix:m], t[prefix:n] has the matrix
+    # D(prefix + i, prefix + j); i and j index it until the backtrace
+    # reaches its first row or column.
+    i, j = m - prefix, n - prefix
+    if i and j:
+        core_s, core_t = s[prefix:m], t[prefix:n]
+        # The band spans diagonals k = j - i from min(0, j-i) - p to
+        # max(0, j-i) + p.  A path that leaves it costs at least
+        # gap + 2p + 2, so with p = (d - gap) // 2 every optimal path lies
+        # inside, and the band holds its cells exactly; no narrower band
+        # certifies itself.
+        d = levenshtein_distance(core_s, core_t)
+        gap = abs(j - i)
+        p = (d - gap) // 2
+        klo = max(min(0, j - i) - p, -i)
+        khi = min(max(0, j - i) + p, j)
+        if 2 * (khi - klo) > j:
+            # A band over more than half the columns costs about as much
+            # as the whole matrix.
+            klo, khi = -i, j
+        rows = _band_rows(core_s, core_t, klo, khi)
+
+        # Backtrace from the core's last cell.  Every cell it visits lies
+        # on an optimal path, so it is inside the band; a neighbour outside
+        # the band reads as too large to be chosen, exactly as it would
+        # fail the same test in the full matrix.
+        here = d
+        while i and j:
+            if core_s[i - 1] == core_t[j - 1]:
+                push(MATCH)
+                i -= 1
+                j -= 1
+                continue
+            prev = rows[i - 1]
+            start = max(0, i - 1 + klo)
+            diag = prev[j - 1 - start]
+            if diag + 1 == here:
+                push(SUBSTITUTE)
+                i -= 1
+                j -= 1
+                here = diag
+                continue
+            up = prev[j - start]
+            if up + 1 == here:
+                push(DELETE)
+                i -= 1
+                here = up
+            else:
+                push(INSERT)
+                j -= 1
+                here -= 1
+
+    # Out of the core, min(i, j) <= prefix, so one of s[:i] and t[:j] is a
+    # prefix of the other and D(i, j) = |i - j|: no matrix is needed.  A
+    # substitution there never ties (D(i-1, j-1) + 1 > D(i, j)), so the
+    # full matrix's backtrace takes a match when the characters agree and
+    # otherwise steps along the longer string, deleting if i > j and
+    # inserting if i < j; once i == j, the rest is matches.
+    i += prefix
+    j += prefix
+    while i != j and i and j:
         if s[i - 1] == t[j - 1]:
             push(MATCH)
             i -= 1
             j -= 1
-            continue
-        prev = rows[i - 1]
-        start = max(0, i - 1 + klo)
-        diag = prev[j - 1 - start]
-        if diag + 1 == here:
-            push(SUBSTITUTE)
-            i -= 1
-            j -= 1
-            here = diag
-            continue
-        up = prev[j - start]
-        if up + 1 == here:
+        elif i > j:
             push(DELETE)
             i -= 1
-            here = up
         else:
             push(INSERT)
             j -= 1
-            here -= 1
-    path.extend([DELETE] * i)
-    path.extend([INSERT] * j)
+    if i == j:
+        path.extend([MATCH] * i)
+    else:
+        path.extend([DELETE] * i)
+        path.extend([INSERT] * j)
     path.reverse()
     path.extend([MATCH] * suffix)
     return path

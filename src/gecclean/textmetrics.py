@@ -3,6 +3,23 @@
 from __future__ import annotations
 
 
+def common_affixes(s: str, t: str) -> tuple[int, int]:
+    """Lengths of the common prefix and common suffix of s and t.
+
+    The prefix is the longest one; the suffix is the longest common suffix
+    of what follows it, so the two never overlap and their sum is at most
+    the length of the shorter string.
+    """
+    limit = min(len(s), len(t))
+    prefix = 0
+    while prefix < limit and s[prefix] == t[prefix]:
+        prefix += 1
+    suffix = 0
+    while suffix < limit - prefix and s[-1 - suffix] == t[-1 - suffix]:
+        suffix += 1
+    return prefix, suffix
+
+
 def levenshtein_distance(s: str, t: str) -> int:
     """Unit-cost edit distance between the character sequences of s and t.
 
@@ -16,13 +33,7 @@ def levenshtein_distance(s: str, t: str) -> int:
         return 0
     # Shared affixes never change the distance; trimming them keeps the
     # core tiny on the near-identical pairs that dominate GEC corpora.
-    limit = min(len(s), len(t))
-    prefix = 0
-    while prefix < limit and s[prefix] == t[prefix]:
-        prefix += 1
-    suffix = 0
-    while suffix < limit - prefix and s[-1 - suffix] == t[-1 - suffix]:
-        suffix += 1
+    prefix, suffix = common_affixes(s, t)
     s = s[prefix : len(s) - suffix]
     t = t[prefix : len(t) - suffix]
     if not s:

@@ -65,6 +65,59 @@ def near_pairs(draw):
     return source, "".join(chars)
 
 
+@st.composite
+def periodic_pairs(draw):
+    """A periodic text and the same text with one period inserted or deleted."""
+    period = draw(st.sampled_from(["ab", "aab", "我能", "ab我"]))
+    k = draw(st.integers(1, 30))
+    tail = draw(st.text(alphabet="abx我", max_size=4))
+    other = period * (k + draw(st.sampled_from([-1, 1]))) + tail
+    return period * k + tail, other
+
+
+@st.composite
+def run_pairs(draw):
+    """A run of one character against a longer or shorter run, each with a tail."""
+    k = draw(st.integers(0, 40))
+    j = draw(st.integers(-k, 40))
+    tails = st.text(alphabet="ab我", max_size=5)
+    return "a" * k + draw(tails), "a" * (k + j) + draw(tails)
+
+
+@st.composite
+def cjk_tail_edits(draw):
+    """A CJK sentence and a copy edited only in its last three characters."""
+    source = draw(st.text(alphabet="我能胜任这此职务不是很好。", min_size=3, max_size=40))
+    head, last = source[:-3], list(source[-3:])
+    operations = st.tuples(
+        st.integers(0, 2), st.integers(0, 3), st.sampled_from("这此职务。")
+    )
+    for kind, position, char in draw(st.lists(operations, min_size=1, max_size=3)):
+        position = min(position, len(last))
+        if kind == 0:
+            last.insert(position, char)
+        elif position < len(last):
+            if kind == 1:
+                last[position] = char
+            else:
+                del last[position]
+    return source, head + "".join(last)
+
+
+@st.composite
+def prefix_of_other(draw):
+    """One string and a prefix of it, in either order."""
+    text = draw(st.text(alphabet="ab我", max_size=40))
+    cut = draw(st.integers(0, len(text)))
+    pair = (text, text[:cut])
+    return pair if draw(st.booleans()) else pair[::-1]
+
+
+shared_prefix_pairs = st.one_of(
+    periodic_pairs(), run_pairs(), cjk_tail_edits(), prefix_of_other()
+)
+
+
 class TestEditType:
     def test_kind_classification(self):
         assert Edit(3, 3, "x").kind == "M"
@@ -139,6 +192,9 @@ class TestBandedAlignMatchesFullMatrix:
             ("ab", "aab"),
             ("aab", "ab"),
             ("a" * 50, "a" * 47),
+            ("abab", "ababab"),
+            ("aab", "aaab"),
+            ("ab" * 30 + "x", "ab" * 31 + "y"),
         ],
     )
     def test_edge_cases(self, s, t):
@@ -147,6 +203,13 @@ class TestBandedAlignMatchesFullMatrix:
     def test_common_prefix_keeps_its_edit_first(self):
         # Trimming the shared "a" would move the insertion after it.
         assert extract_edits("ab", "aab").edits == (Edit(0, 0, "a"),)
+
+    @given(shared_prefix_pairs)
+    @settings(max_examples=400, deadline=None)
+    def test_edits_at_the_prefix_boundary(self, pair):
+        # The edit sits at, or can slide into, the end of the common prefix,
+        # where the backtrace leaves the filled core.
+        assert align(*pair) == align_full_matrix(*pair)
 
     @given(st.text(alphabet="ab", max_size=40), st.text(alphabet="ab", max_size=40))
     @settings(max_examples=300)
@@ -226,6 +289,27 @@ class TestBandFilledOnce:
         path = align(s, t)
         assert len(calls) == 1
         assert path == align_full_matrix(s, t)
+
+
+class TestOnlyCoreFilled:
+    """align() fills no row or column of the common prefix or suffix."""
+
+    def test_band_receives_the_core_only(self, monkeypatch):
+        rng = random.Random(1900)
+        source = "".join(rng.choices(WIDE_ALPHABET, k=2000))
+        target = source[:1900] + "X" + source[1901:]
+        lengths = []
+        fill = edits._band_rows
+
+        def recording(s, t, klo, khi):
+            lengths.append((len(s), len(t)))
+            return fill(s, t, klo, khi)
+
+        monkeypatch.setattr(edits, "_band_rows", recording)
+        path = align(source, target)
+        assert lengths == [(1, 1)]
+        assert [k for k, step in enumerate(path) if step != "match"] == [1900]
+        assert path[1900] == "substitute"
 
 
 class TestExtractEdits:

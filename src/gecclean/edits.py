@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Sequence
 
 from .corpus import normalize
-from .textmetrics import common_affixes, levenshtein_distance
+from .textmetrics import DeltaColumn, bit_vector_columns, common_affixes
 
 logger = logging.getLogger(__name__)
 
@@ -37,11 +37,16 @@ DELETE = "delete"
 INSERT = "insert"
 
 # Pairs longer than this are still aligned.  Only the core left after the
-# common prefix and suffix is filled, in a band sized once from its exact
-# distance, so a long near pair costs only its core; but a long dissimilar
-# pair still fills close to the full length x length matrix, so flag long
-# pairs for batch callers to notice.
+# common prefix and suffix is computed, so a long near pair costs only its
+# core; but a long dissimilar pair still costs time in proportion to
+# length x length and about length x length / 2 bytes of delta bits, so
+# flag long pairs for batch callers to notice.
 ALIGN_LENGTH_FLAG = 512
+
+# Cores of up to this many cells (m' x n', about 2 MB of delta bits) keep
+# every column in one pass; a larger core pays a second pass to keep only
+# its certified band.
+_ONE_PASS_CELLS = 1 << 22
 
 _NONE_FIELD = "-NONE-"
 
@@ -67,7 +72,8 @@ class Edit:
     def __post_init__(self):
         if self.start < 0 or self.end < self.start:
             raise ValueError(f"invalid edit span [{self.start}, {self.end})")
-        if any(c in self.replacement for c in "\t\r\n"):
+        replacement = self.replacement
+        if "\t" in replacement or "\r" in replacement or "\n" in replacement:
             raise ValueError("edit replacement may not contain tab or newline")
 
     @property
@@ -97,60 +103,6 @@ class Annotation:
                 raise ValueError(f"two insertions share position {before.start}")
 
 
-def _band_rows(s: str, t: str, klo: int, khi: int) -> list[list[int]]:
-    """Fill D(i, j) over the diagonals klo <= j - i <= khi of the DP matrix.
-
-    Row i holds the cells j = max(0, i + klo) .. min(n, i + khi).  A row
-    that stops short of column n gets one extra cell, a value larger than
-    any distance, which the next row reads as its out-of-band neighbour.
-    """
-    m, n = len(s), len(t)
-    outside = m + n + 1
-    b = min(n, khi)
-    row = list(range(b + 1))
-    if b < n:
-        row.append(outside)
-    rows = [row]
-    # Rows 1..top start at column 0; every later row starts one column to
-    # the right of the row above it.
-    top = min(m, -klo)
-    for i in range(1, m + 1):
-        sc = s[i - 1]
-        b = i + khi
-        if b > n:
-            b = n
-        prev = row
-        if i <= top:
-            row = [i]
-            chars = t[:b]
-            ups = prev[1 : b + 1]
-            left = i + 1
-        else:
-            a = i + klo
-            row = []
-            chars = t[a - 1 : b]
-            ups = prev[1 : b - a + 2]
-            left = outside
-        push = row.append
-        diag = prev[0]
-        for tc, up in zip(chars, ups):
-            # left already holds the left neighbour plus one; diag becomes
-            # min(diagonal + cost, up + 1, left).
-            if sc != tc:
-                diag += 1
-            if up < diag:
-                diag = up + 1
-            if left < diag:
-                diag = left
-            push(diag)
-            left = diag + 1
-            diag = up
-        if b < n:
-            push(outside)
-        rows.append(row)
-    return rows
-
-
 def align(s: str, t: str) -> list[str]:
     """Minimum-cost unit-cost alignment path from s to t.
 
@@ -160,12 +112,15 @@ def align(s: str, t: str) -> list[str]:
     deterministic.
 
     The path is the one a backtrace over the full (m+1) x (n+1) distance
-    matrix would take, but only a band of diagonals around it is filled
-    (Ukkonen 1985), and only over the core left after the common prefix
-    and suffix are trimmed.  The exact distance d of the core
-    (``levenshtein_distance``) sizes the band once: a core of lengths
-    m', n' fills O((m' + n') * (d + 1)) cells in one pass, and never more
-    cells than its full matrix.
+    matrix would take, but only the core left after the common prefix and
+    suffix are trimmed is computed, by one bit-vector pass
+    (``bit_vector_columns``) that keeps the delta vectors of each column
+    and backtraces from them (Hyyrö 2004).  A core of lengths m', n' costs
+    O(m' * n' / w) word operations for w-bit words.  Up to
+    ``_ONE_PASS_CELLS`` cells it keeps whole columns, about m' * n' / 2
+    bytes; a larger core is first measured by a pass that keeps nothing,
+    and then keeps only the bits of the band of diagonals that its exact
+    distance certifies (Ukkonen 1985), so a long near core stays small.
     """
     m, n = len(s), len(t)
     if m > ALIGN_LENGTH_FLAG or n > ALIGN_LENGTH_FLAG:
@@ -184,43 +139,48 @@ def align(s: str, t: str) -> list[str]:
     i, j = m - prefix, n - prefix
     if i and j:
         core_s, core_t = s[prefix:m], t[prefix:n]
-        # The band spans diagonals k = j - i from min(0, j-i) - p to
-        # max(0, j-i) + p.  A path that leaves it costs at least
-        # gap + 2p + 2, so with p = (d - gap) // 2 every optimal path lies
-        # inside, and the band holds its cells exactly; no narrower band
-        # certifies itself.
-        d = levenshtein_distance(core_s, core_t)
-        gap = abs(j - i)
-        p = (d - gap) // 2
-        klo = max(min(0, j - i) - p, -i)
-        khi = min(max(0, j - i) + p, j)
-        if 2 * (khi - klo) > j:
-            # A band over more than half the columns costs about as much
-            # as the whole matrix.
-            klo, khi = -i, j
-        rows = _band_rows(core_s, core_t, klo, khi)
+        # The bit rows stay on s even when it is the longer string: the
+        # tie-break is not symmetric, so the matrix may not be transposed.
+        columns: list[DeltaColumn] = []
+        if i * j <= _ONE_PASS_CELLS:
+            here = bit_vector_columns(core_s, core_t, columns)
+            khi = j  # whole columns: no window offset
+        else:
+            # The band spans diagonals k = j - i from min(0, j-i) - p to
+            # max(0, j-i) + p.  A path that leaves it costs at least
+            # gap + 2p + 2, so with p = (d - gap) // 2 every optimal path
+            # lies inside it, and so does every cell the backtrace reads.
+            d = bit_vector_columns(core_s, core_t)
+            p = (d - abs(j - i)) // 2
+            khi = max(0, j - i) + p
+            here = bit_vector_columns(
+                core_s, core_t, columns, (min(0, j - i) - p, khi)
+            )
 
-        # Backtrace from the core's last cell.  Every cell it visits lies
-        # on an optimal path, so it is inside the band; a neighbour outside
-        # the band reads as too large to be chosen, exactly as it would
-        # fail the same test in the full matrix.
-        here = d
+        # Backtrace from the core's last cell, with here = D(i, j):
+        #   D(i-1, j)   = D(i, j) - (vertical delta at row i of column j)
+        #   D(i-1, j-1) = D(i-1, j) - (horizontal delta at row i-1 of
+        #                 column j)
+        # Both deltas sit at bit i-1 of column j, less the column's window
+        # offset.  Every value is the full matrix's, so every decision is.
         while i and j:
             if core_s[i - 1] == core_t[j - 1]:
                 push(MATCH)
                 i -= 1
                 j -= 1
                 continue
-            prev = rows[i - 1]
-            start = max(0, i - 1 + klo)
-            diag = prev[j - 1 - start]
+            pv, mv, ph, mh = columns[j - 1]
+            bit = i - 1
+            if j > khi + 1:
+                bit -= j - khi - 1
+            up = here - ((pv >> bit) & 1) + ((mv >> bit) & 1)
+            diag = up - ((ph >> bit) & 1) + ((mh >> bit) & 1)
             if diag + 1 == here:
                 push(SUBSTITUTE)
                 i -= 1
                 j -= 1
                 here = diag
                 continue
-            up = prev[j - start]
             if up + 1 == here:
                 push(DELETE)
                 i -= 1

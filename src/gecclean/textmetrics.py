@@ -24,10 +24,10 @@ def levenshtein_distance(s: str, t: str) -> int:
     """Unit-cost edit distance between the character sequences of s and t.
 
     Insertions, deletions and substitutions all cost 1; transpositions are
-    not a primitive.  Computed with Myers' bit-vector recurrence in
-    Hyyrö's global edit-distance form (Myers 1999; Hyyrö 2001): a fixed
-    number of integer operations per character of the longer string, on
-    Python ints of O(len(shorter)) bits.
+    not a primitive.  Computed by ``bit_vector_columns`` with the bits on
+    the shorter string: a fixed number of integer operations per character
+    of the longer string, on Python ints of O(len(shorter)) bits, and no
+    column kept.
     """
     if s == t:
         return 0
@@ -42,9 +42,34 @@ def levenshtein_distance(s: str, t: str) -> int:
         return len(s)
     if len(s) > len(t):
         s, t = t, s
-    # Bit i of peq[c] is set when s[i] == c.  Column j of the DP matrix
-    # D(i, j) is held as its vertical deltas D(i, j) - D(i-1, j): bit i-1
-    # of pv is set where the delta is +1, of mv where it is -1.
+    return bit_vector_columns(s, t)
+
+
+DeltaColumn = tuple[int, int, int, int]
+
+
+def bit_vector_columns(
+    s: str,
+    t: str,
+    columns: list[DeltaColumn] | None = None,
+    band: tuple[int, int] | None = None,
+) -> int:
+    """D(len(s), len(t)) of the unit-cost DP matrix D(i, j) of s against t.
+
+    Myers' bit-vector recurrence in Hyyrö's global edit-distance form
+    (Myers 1999; Hyyrö 2001): one bit per character of s, a fixed number
+    of integer operations per character of t.
+
+    Given ``columns``, it appends for each column j = 1..len(t) the delta
+    vectors ``(pv, mv, ph, mh)`` that a backtrace needs (Hyyrö 2004): bit
+    i-1 of pv (mv) is set where D(i, j) - D(i-1, j) is +1 (-1), and bit r
+    of ph (mh) where D(r, j) - D(r, j-1) is +1 (-1), for r = 0..len(s)-1.
+    That is about len(s) * len(t) / 2 bytes.  Given ``band = (klo, khi)``
+    as well, it keeps of column j only the bits i-1 of the rows i with
+    klo <= j - i <= khi, shifted down by max(0, j - khi - 1), in
+    khi - klo + 1 bits per vector.
+    """
+    # Bit i of peq[c] is set when s[i] == c.
     peq: dict[str, int] = {}
     bit = 1
     for char in s:
@@ -54,6 +79,13 @@ def levenshtein_distance(s: str, t: str) -> int:
     pv = full
     mv = 0
     get = peq.get
+    keep = columns is not None
+    if keep:
+        push = columns.append
+        if band:
+            klo, khi = band
+            window = (1 << (khi - klo + 1)) - 1
+            low = -khi - 1
     for char in t:
         eq = get(char, 0)
         xv = eq | mv
@@ -64,6 +96,20 @@ def levenshtein_distance(s: str, t: str) -> int:
         mh = (pv & xh) << 1
         pv = (mh | ~(xv | ph)) & full
         mv = ph & xv
+        if keep:
+            if band:
+                low += 1
+                lo = low if low > 0 else 0
+                push(
+                    (
+                        (pv >> lo) & window,
+                        (mv >> lo) & window,
+                        (ph >> lo) & window,
+                        (mh >> lo) & window,
+                    )
+                )
+            else:
+                push((pv, mv, ph, mh))
     # D(m, n) is D(0, n) = n plus the vertical deltas of the last column.
     return len(t) + pv.bit_count() - mv.bit_count()
 

@@ -4,9 +4,12 @@ Nothing here shares code with the package under test: the distance oracle
 is the plain recursive definition, the alignment oracle enumerates every
 minimum-cost path and applies the documented tie-break to pick the
 canonical one, ``align_full_matrix`` is the aligner the package used
-before it switched to a banded fill, and ``levenshtein_distance_dp`` is the
-row DP the package used before its bit-vector kernel; the last two are
-kept as the references for long pairs.
+before it switched to a banded fill and then to a backtrace over
+bit-vector deltas, and ``levenshtein_distance_dp`` is the row DP the
+package used before its bit-vector kernel; the last two are kept as the
+references for long pairs, and ``align_full_matrix`` checks the package's
+aligner both when it keeps whole columns of deltas and when it keeps only
+a band of them.
 """
 
 from __future__ import annotations

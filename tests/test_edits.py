@@ -1,6 +1,7 @@
 import itertools
 import random
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -180,8 +181,18 @@ class TestAlign:
         assert any("unusually long" in record.message for record in caplog.records)
 
 
+def assert_matches_full_matrix(s, t):
+    """align() equals the full matrix with whole columns and with windows."""
+    expected = align_full_matrix(s, t)
+    assert align(s, t) == expected
+    # With no one-pass budget every core keeps only its certified band.
+    with mock.patch.object(edits, "_ONE_PASS_CELLS", 0):
+        assert align(s, t) == expected
+
+
 class TestBandedAlignMatchesFullMatrix:
-    """align() fills only a band of the matrix; its path must not change."""
+    """align() computes only the core, from bit-vector deltas; its path must
+    not change, whichever way the core's columns are kept."""
 
     @pytest.mark.parametrize(
         "s,t",
@@ -198,7 +209,7 @@ class TestBandedAlignMatchesFullMatrix:
         ],
     )
     def test_edge_cases(self, s, t):
-        assert align(s, t) == align_full_matrix(s, t)
+        assert_matches_full_matrix(s, t)
 
     def test_common_prefix_keeps_its_edit_first(self):
         # Trimming the shared "a" would move the insertion after it.
@@ -208,23 +219,23 @@ class TestBandedAlignMatchesFullMatrix:
     @settings(max_examples=400, deadline=None)
     def test_edits_at_the_prefix_boundary(self, pair):
         # The edit sits at, or can slide into, the end of the common prefix,
-        # where the backtrace leaves the filled core.
-        assert align(*pair) == align_full_matrix(*pair)
+        # where the backtrace leaves the core.
+        assert_matches_full_matrix(*pair)
 
     @given(st.text(alphabet="ab", max_size=40), st.text(alphabet="ab", max_size=40))
     @settings(max_examples=300)
     def test_binary_alphabet_ties(self, s, t):
-        assert align(s, t) == align_full_matrix(s, t)
+        assert_matches_full_matrix(s, t)
 
     @given(runs(), runs())
     @settings(max_examples=100, deadline=None)
     def test_repeated_character_runs(self, s, t):
-        assert align(s, t) == align_full_matrix(s, t)
+        assert_matches_full_matrix(s, t)
 
     @given(near_pairs())
     @settings(max_examples=200, deadline=None)
     def test_near_pairs(self, pair):
-        assert align(*pair) == align_full_matrix(*pair)
+        assert_matches_full_matrix(*pair)
 
     @given(
         st.text(alphabet=WIDE_ALPHABET, max_size=300),
@@ -232,7 +243,7 @@ class TestBandedAlignMatchesFullMatrix:
     )
     @settings(max_examples=60, deadline=None)
     def test_dissimilar_pairs(self, s, t):
-        assert align(s, t) == align_full_matrix(s, t)
+        assert_matches_full_matrix(s, t)
 
     def test_long_near_pair_needs_little_memory(self):
         # The full matrix of this pair has 16 million cells: hundreds of MB.
@@ -253,6 +264,44 @@ class TestBandedAlignMatchesFullMatrix:
             Edit(3100, 3101, "Y"),
         )
 
+    def test_long_dissimilar_pair_needs_little_memory(self):
+        # A full matrix of boxed ints for this pair takes ~345 MB; its delta
+        # bits take about 3000 * 3000 / 2 bytes.
+        rng = random.Random(3000)
+        source = "".join(rng.choices(WIDE_ALPHABET, k=3000))
+        target = "".join(rng.choices(WIDE_ALPHABET, k=3000))
+        path, peak = traced_align(source, target)
+        assert peak < 16_000_000
+        assert sum(step != "match" for step in path) == levenshtein_distance(source, target)
+        # The core is over the one-pass budget, so it kept a window; whole
+        # columns must give the same path.
+        with mock.patch.object(edits, "_ONE_PASS_CELLS", 3000 * 3000):
+            assert align(source, target) == path
+
+    def test_long_near_core_keeps_only_its_band(self):
+        # Edits at both ends leave a 6000 x 6000 core, whose whole columns
+        # would take ~20 MB; its band is a few diagonals wide.
+        rng = random.Random(6000)
+        source = "".join(rng.choices(WIDE_ALPHABET, k=6000))
+        target = "X" + source[1:-1] + "Y"
+        path, peak = traced_align(source, target)
+        assert peak < 4_000_000
+        assert extract_edits(source, target).edits == (
+            Edit(0, 1, "X"),
+            Edit(5999, 6000, "Y"),
+        )
+        assert path == ["substitute"] + ["match"] * 5998 + ["substitute"]
+
+
+def traced_align(s, t):
+    """align(s, t) and the peak bytes tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        path = align(s, t)
+        return path, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
 
 def _band_pairs():
     rng = random.Random(200)
@@ -272,42 +321,52 @@ def _band_pairs():
 BAND_PAIRS = _band_pairs()
 
 
+def record_passes(monkeypatch):
+    """Record (len(s), len(t), keeps columns, band) of each bit-vector pass."""
+    calls = []
+    run = edits.bit_vector_columns
+
+    def recording(s, t, columns=None, band=None):
+        calls.append((len(s), len(t), columns is not None, band))
+        return run(s, t, columns, band)
+
+    monkeypatch.setattr(edits, "bit_vector_columns", recording)
+    return calls
+
+
 class TestBandFilledOnce:
-    """align() sizes its band from the exact distance and fills it once."""
+    """align() computes each core in one bit-vector pass that keeps its
+    columns; a core over the one-pass budget is measured once first."""
 
     @pytest.mark.parametrize("name", BAND_PAIRS)
     def test_one_fill_per_pair(self, name, monkeypatch):
         s, t = BAND_PAIRS[name]
-        calls = []
-        fill = edits._band_rows
-
-        def counting(*args):
-            calls.append(args)
-            return fill(*args)
-
-        monkeypatch.setattr(edits, "_band_rows", counting)
+        calls = record_passes(monkeypatch)
         path = align(s, t)
-        assert len(calls) == 1
+        assert [(keeps, band) for _, _, keeps, band in calls] == [(True, None)]
+        assert path == align_full_matrix(s, t)
+
+    @pytest.mark.parametrize("name", BAND_PAIRS)
+    def test_windowed_core_measured_then_filled_once(self, name, monkeypatch):
+        s, t = BAND_PAIRS[name]
+        calls = record_passes(monkeypatch)
+        monkeypatch.setattr(edits, "_ONE_PASS_CELLS", 0)
+        path = align(s, t)
+        assert [keeps for _, _, keeps, _ in calls] == [False, True]
+        assert calls[0][3] is None and calls[1][3] is not None
         assert path == align_full_matrix(s, t)
 
 
 class TestOnlyCoreFilled:
-    """align() fills no row or column of the common prefix or suffix."""
+    """align() computes no row or column of the common prefix or suffix."""
 
     def test_band_receives_the_core_only(self, monkeypatch):
         rng = random.Random(1900)
         source = "".join(rng.choices(WIDE_ALPHABET, k=2000))
         target = source[:1900] + "X" + source[1901:]
-        lengths = []
-        fill = edits._band_rows
-
-        def recording(s, t, klo, khi):
-            lengths.append((len(s), len(t)))
-            return fill(s, t, klo, khi)
-
-        monkeypatch.setattr(edits, "_band_rows", recording)
+        calls = record_passes(monkeypatch)
         path = align(source, target)
-        assert lengths == [(1, 1)]
+        assert [(m, n) for m, n, _, _ in calls] == [(1, 1)]
         assert [k for k, step in enumerate(path) if step != "match"] == [1900]
         assert path[1900] == "substitute"
 

@@ -37,16 +37,17 @@ DELETE = "delete"
 INSERT = "insert"
 
 # Pairs longer than this are still aligned.  Only the core left after the
-# common prefix and suffix is computed, so a long near pair costs only its
-# core; but a long dissimilar pair still costs time in proportion to
-# length x length and about length x length / 2 bytes of delta bits, so
-# flag long pairs for batch callers to notice.
+# common prefix and suffix is computed, and only its certified band is
+# kept, so a long near pair costs little; but a long dissimilar pair still
+# costs time in proportion to length x length and about length x length / 2
+# bytes of delta bits, so flag long pairs for batch callers to notice.
 ALIGN_LENGTH_FLAG = 512
 
-# Cores of up to this many cells (m' x n', about 2 MB of delta bits) keep
-# every column in one pass; a larger core pays a second pass to keep only
-# its certified band.
-_ONE_PASS_CELLS = 1 << 22
+# The band align tries first: this many diagonals either side of those
+# between the core's corners.  A core whose distance exceeds its length
+# difference by more than 2 * 8 + 1 pays one more pass; a wider first band
+# spares few such passes and widens the integers of every column.
+_FIRST_BAND = 8
 
 _NONE_FIELD = "-NONE-"
 
@@ -113,14 +114,17 @@ def align(s: str, t: str) -> list[str]:
 
     The path is the one a backtrace over the full (m+1) x (n+1) distance
     matrix would take, but only the core left after the common prefix and
-    suffix are trimmed is computed, by one bit-vector pass
-    (``bit_vector_columns``) that keeps the delta vectors of each column
-    and backtraces from them (Hyyrö 2004).  A core of lengths m', n' costs
-    O(m' * n' / w) word operations for w-bit words.  Up to
-    ``_ONE_PASS_CELLS`` cells it keeps whole columns, about m' * n' / 2
-    bytes; a larger core is first measured by a pass that keeps nothing,
-    and then keeps only the bits of the band of diagonals that its exact
-    distance certifies (Ukkonen 1985), so a long near core stays small.
+    suffix are trimmed is computed, and of the core of lengths m', n' only
+    a band of diagonals: a bit-vector pass (``bit_vector_columns``) keeps
+    the delta vectors of each column in a window of as many bits as the
+    band has diagonals, and the backtrace reads them (Hyyrö 2004).  The
+    first band is ``_FIRST_BAND`` diagonals either side of the corners'
+    ones.  If the distance does not fit it, the value that pass returns
+    certifies a wider band (Ukkonen 1985), and one more pass computes that.
+    A near core keeps O(n') bytes and costs O(n') operations on integers of
+    a few words, besides one shift of an m'-bit mask per column; a
+    dissimilar one costs O(m' * n' / w) operations on w-bit words and
+    about m' * n' / 2 bytes.
     """
     m, n = len(s), len(t)
     if m > ALIGN_LENGTH_FLAG or n > ALIGN_LENGTH_FLAG:
@@ -139,30 +143,34 @@ def align(s: str, t: str) -> list[str]:
     i, j = m - prefix, n - prefix
     if i and j:
         core_s, core_t = s[prefix:m], t[prefix:n]
+        # The band spans diagonals k = j - i from min(0, gap) - p to
+        # max(0, gap) + p, gap = j - i.  A path that leaves it costs at
+        # least |gap| + 2p + 2.  The pass returns the cost of some
+        # alignment, so no less than the distance d, and the full matrix's
+        # value on every cell that an optimal path inside the band reaches.
+        # So a value of at most |gap| + 2p + 1 is d, and every optimal path
+        # lies inside the band.  A larger value v >= d makes
+        # p = (v - |gap|) // 2 such a band, and the second pass the last.
         # The bit rows stay on s even when it is the longer string: the
         # tie-break is not symmetric, so the matrix may not be transposed.
-        columns: list[DeltaColumn] = []
-        if i * j <= _ONE_PASS_CELLS:
-            here = bit_vector_columns(core_s, core_t, columns)
-            khi = j  # whole columns: no window offset
-        else:
-            # The band spans diagonals k = j - i from min(0, j-i) - p to
-            # max(0, j-i) + p.  A path that leaves it costs at least
-            # gap + 2p + 2, so with p = (d - gap) // 2 every optimal path
-            # lies inside it, and so does every cell the backtrace reads.
-            d = bit_vector_columns(core_s, core_t)
-            p = (d - abs(j - i)) // 2
-            khi = max(0, j - i) + p
-            here = bit_vector_columns(
-                core_s, core_t, columns, (min(0, j - i) - p, khi)
-            )
+        gap = j - i
+        p = _FIRST_BAND
+        while True:
+            columns: list[DeltaColumn] = []
+            khi = max(0, gap) + p
+            here = bit_vector_columns(core_s, core_t, (min(0, gap) - p, khi), columns)
+            if here <= abs(gap) + 2 * p + 1:
+                break
+            p = (here - abs(gap)) // 2
 
         # Backtrace from the core's last cell, with here = D(i, j):
         #   D(i-1, j)   = D(i, j) - (vertical delta at row i of column j)
         #   D(i-1, j-1) = D(i-1, j) - (horizontal delta at row i-1 of
         #                 column j)
         # Both deltas sit at bit i-1 of column j, less the column's window
-        # offset.  Every value is the full matrix's, so every decision is.
+        # offset.  The path's own cells hold the full matrix's values, and
+        # a neighbour the full matrix would not step to holds a value no
+        # lower than its own, so every decision is the full matrix's.
         while i and j:
             if core_s[i - 1] == core_t[j - 1]:
                 push(MATCH)

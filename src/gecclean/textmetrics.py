@@ -51,67 +51,83 @@ DeltaColumn = tuple[int, int, int, int]
 def bit_vector_columns(
     s: str,
     t: str,
-    columns: list[DeltaColumn] | None = None,
     band: tuple[int, int] | None = None,
+    columns: list[DeltaColumn] | None = None,
 ) -> int:
     """D(len(s), len(t)) of the unit-cost DP matrix D(i, j) of s against t.
 
     Myers' bit-vector recurrence in Hyyrö's global edit-distance form
-    (Myers 1999; Hyyrö 2001): one bit per character of s, a fixed number
-    of integer operations per character of t.
+    (Myers 1999; Hyyrö 2001): a fixed number of integer operations per
+    character of t, on integers of one bit per row of s.
+
+    Given ``band = (klo, khi)``, which must hold the diagonals 0 and
+    len(t) - len(s), the pass covers only the diagonals klo <= j - i <= khi
+    (Hyyrö 2004): column j is a window of min(khi - klo + 1, len(s)) rows
+    starting at row lo + 1, lo = max(0, j - khi - 1), that slides down one
+    row a column once lo > 0.  The cell above a window is given one more
+    than its left neighbour, so every value is the cost of some alignment:
+    never below the full matrix's, and equal to it on every cell that an
+    optimal path from (0, 0) reaches inside the band.  A row entering the
+    bottom of a window starts level with the cell above it; that only
+    offers its cell in the new column a step from the left, which never
+    beats the diagonal step from the cell above.  With no band the window
+    is all of s.
 
     Given ``columns``, it appends for each column j = 1..len(t) the delta
-    vectors ``(pv, mv, ph, mh)`` that a backtrace needs (Hyyrö 2004): bit
-    i-1 of pv (mv) is set where D(i, j) - D(i-1, j) is +1 (-1), and bit r
-    of ph (mh) where D(r, j) - D(r, j-1) is +1 (-1), for r = 0..len(s)-1.
-    That is about len(s) * len(t) / 2 bytes.  Given ``band = (klo, khi)``
-    as well, it keeps of column j only the bits i-1 of the rows i with
-    klo <= j - i <= khi, shifted down by max(0, j - khi - 1), in
-    khi - klo + 1 bits per vector.
+    vectors ``(pv, mv, ph, mh)`` that a backtrace needs: bit i-1-lo of pv
+    (mv) is set where D(i, j) - D(i-1, j) is +1 (-1), and bit r-lo of ph
+    (mh) where D(r, j) - D(r, j-1) is +1 (-1).
     """
+    m = len(s)
     # Bit i of peq[c] is set when s[i] == c.
     peq: dict[str, int] = {}
     bit = 1
     for char in s:
         peq[char] = peq.get(char, 0) | bit
         bit <<= 1
-    full = bit - 1
-    pv = full
+    if band:
+        klo, khi = band
+        width = khi - klo + 1
+        if width > m:
+            width = m
+    else:
+        khi = len(t)
+        width = m
+    mask = (1 << width) - 1
+    pv = mask
     mv = 0
     get = peq.get
-    keep = columns is not None
-    if keep:
-        push = columns.append
-        if band:
-            klo, khi = band
-            window = (1 << (khi - klo + 1)) - 1
-            low = -khi - 1
+    push = columns.append if columns is not None else None
+    low = -khi - 1
+    # D(lo, n) - n: the vertical deltas of the rows that left the window.
+    left = 0
     for char in t:
-        eq = get(char, 0)
+        low += 1
+        if low > 0:
+            # The window slides down a row: its top row becomes the row
+            # above it, and a row enters at its bottom.
+            left += (pv & 1) - (mv & 1)
+            pv >>= 1
+            mv >>= 1
+            eq = (get(char, 0) >> low) & mask
+        else:
+            eq = get(char, 0) & mask
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
         # Horizontal deltas D(i, j) - D(i, j-1), +1 in ph and -1 in mh;
-        # the shift carries in row 0, where D(0, j) = j always rises by 1.
-        ph = ((mv | (full ^ (xh | pv))) << 1) | 1
+        # the shift carries in the row above the window, which rises by 1.
+        ph = ((mv | (mask ^ (xh | pv))) << 1) | 1
         mh = (pv & xh) << 1
-        pv = (mh | ~(xv | ph)) & full
+        pv = (mh | ~(xv | ph)) & mask
         mv = ph & xv
-        if keep:
-            if band:
-                low += 1
-                lo = low if low > 0 else 0
-                push(
-                    (
-                        (pv >> lo) & window,
-                        (mv >> lo) & window,
-                        (ph >> lo) & window,
-                        (mh >> lo) & window,
-                    )
-                )
-            else:
-                push((pv, mv, ph, mh))
-    # D(m, n) is D(0, n) = n plus the vertical deltas of the last column.
-    return len(t) + pv.bit_count() - mv.bit_count()
+        if push:
+            push((pv, mv, ph, mh))
+    # D(m, n) is D(lo, n) plus the vertical deltas of rows lo+1..m.
+    if low > 0:
+        rows = (1 << (m - low)) - 1
+        pv &= rows
+        mv &= rows
+    return len(t) + left + pv.bit_count() - mv.bit_count()
 
 
 def levenshtein_ratio(s: str, t: str) -> float:

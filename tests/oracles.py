@@ -7,9 +7,8 @@ canonical one, ``align_full_matrix`` is the aligner the package used
 before it switched to a banded fill and then to a backtrace over
 bit-vector deltas, and ``levenshtein_distance_dp`` is the row DP the
 package used before its bit-vector kernel; the last two are kept as the
-references for long pairs, and ``align_full_matrix`` checks the package's
-aligner both when it keeps whole columns of deltas and when it keeps only
-a band of them.
+references for long pairs.  ``align_full_matrix`` checks the package's
+aligner, which keeps the bit-vector deltas of only a band of diagonals.
 """
 
 from __future__ import annotations

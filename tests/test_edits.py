@@ -182,17 +182,17 @@ class TestAlign:
 
 
 def assert_matches_full_matrix(s, t):
-    """align() equals the full matrix with whole columns and with windows."""
+    """align() equals the full matrix, also from the narrowest first band,
+    which sends most cores through a second pass over sliding windows."""
     expected = align_full_matrix(s, t)
     assert align(s, t) == expected
-    # With no one-pass budget every core keeps only its certified band.
-    with mock.patch.object(edits, "_ONE_PASS_CELLS", 0):
+    with mock.patch.object(edits, "_FIRST_BAND", 0):
         assert align(s, t) == expected
 
 
 class TestBandedAlignMatchesFullMatrix:
-    """align() computes only the core, from bit-vector deltas; its path must
-    not change, whichever way the core's columns are kept."""
+    """align() computes only a band of the core, as bit-vector deltas; its
+    path must not change."""
 
     @pytest.mark.parametrize(
         "s,t",
@@ -265,26 +265,30 @@ class TestBandedAlignMatchesFullMatrix:
         )
 
     def test_long_dissimilar_pair_needs_little_memory(self):
-        # A full matrix of boxed ints for this pair takes ~345 MB; its delta
-        # bits take about 3000 * 3000 / 2 bytes.
+        # A full matrix of boxed ints for this pair takes ~345 MB; the delta
+        # bits of its band take about 3000 * (2p + 1) / 2 bytes.
         rng = random.Random(3000)
         source = "".join(rng.choices(WIDE_ALPHABET, k=3000))
         target = "".join(rng.choices(WIDE_ALPHABET, k=3000))
         path, peak = traced_align(source, target)
         assert peak < 16_000_000
         assert sum(step != "match" for step in path) == levenshtein_distance(source, target)
-        # The core is over the one-pass budget, so it kept a window; whole
-        # columns must give the same path.
-        with mock.patch.object(edits, "_ONE_PASS_CELLS", 3000 * 3000):
+        # A first band as wide as the core computes it in one pass of
+        # whole columns, with no window sliding; the path is the same.
+        with mock.patch.object(edits, "_FIRST_BAND", 3000):
             assert align(source, target) == path
 
-    def test_long_near_core_keeps_only_its_band(self):
+    def test_long_near_core_keeps_only_its_band(self, monkeypatch):
         # Edits at both ends leave a 6000 x 6000 core, whose whole columns
-        # would take ~20 MB; its band is a few diagonals wide.
+        # would take ~20 MB; its distance fits its first band, so one pass
+        # over windows of 2p + 1 bits computes it.
         rng = random.Random(6000)
         source = "".join(rng.choices(WIDE_ALPHABET, k=6000))
         target = "X" + source[1:-1] + "Y"
+        calls = record_passes(monkeypatch)
         path, peak = traced_align(source, target)
+        p = edits._FIRST_BAND
+        assert calls == [(6000, 6000, (-p, p))]
         assert peak < 4_000_000
         assert extract_edits(source, target).edits == (
             Edit(0, 1, "X"),
@@ -322,39 +326,34 @@ BAND_PAIRS = _band_pairs()
 
 
 def record_passes(monkeypatch):
-    """Record (len(s), len(t), keeps columns, band) of each bit-vector pass."""
+    """Record (len(s), len(t), band) of each bit-vector pass."""
     calls = []
     run = edits.bit_vector_columns
 
-    def recording(s, t, columns=None, band=None):
-        calls.append((len(s), len(t), columns is not None, band))
-        return run(s, t, columns, band)
+    def recording(s, t, band, columns):
+        calls.append((len(s), len(t), band))
+        return run(s, t, band, columns)
 
     monkeypatch.setattr(edits, "bit_vector_columns", recording)
     return calls
 
 
 class TestBandFilledOnce:
-    """align() computes each core in one bit-vector pass that keeps its
-    columns; a core over the one-pass budget is measured once first."""
+    """align() keeps the columns of one pass per core: over its first band,
+    or, when the core's distance does not fit that band, over the band the
+    first pass certifies."""
 
     @pytest.mark.parametrize("name", BAND_PAIRS)
     def test_one_fill_per_pair(self, name, monkeypatch):
         s, t = BAND_PAIRS[name]
         calls = record_passes(monkeypatch)
         path = align(s, t)
-        assert [(keeps, band) for _, _, keeps, band in calls] == [(True, None)]
         assert path == align_full_matrix(s, t)
-
-    @pytest.mark.parametrize("name", BAND_PAIRS)
-    def test_windowed_core_measured_then_filled_once(self, name, monkeypatch):
-        s, t = BAND_PAIRS[name]
-        calls = record_passes(monkeypatch)
-        monkeypatch.setattr(edits, "_ONE_PASS_CELLS", 0)
-        path = align(s, t)
-        assert [keeps for _, _, keeps, _ in calls] == [False, True]
-        assert calls[0][3] is None and calls[1][3] is not None
-        assert path == align_full_matrix(s, t)
+        d = sum(step != "match" for step in path)
+        gap = len(t) - len(s)
+        p = edits._FIRST_BAND
+        assert calls[0][2] == (min(0, gap) - p, max(0, gap) + p)
+        assert len(calls) == (1 if d <= abs(gap) + 2 * p + 1 else 2)
 
 
 class TestOnlyCoreFilled:
@@ -366,7 +365,7 @@ class TestOnlyCoreFilled:
         target = source[:1900] + "X" + source[1901:]
         calls = record_passes(monkeypatch)
         path = align(source, target)
-        assert [(m, n) for m, n, _, _ in calls] == [(1, 1)]
+        assert [(m, n) for m, n, _ in calls] == [(1, 1)]
         assert [k for k, step in enumerate(path) if step != "match"] == [1900]
         assert path[1900] == "substitute"
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gecclean.textmetrics import (
+    bit_vector_columns,
     jaccard_similarity,
     levenshtein_distance,
     levenshtein_ratio,
@@ -127,6 +128,46 @@ class TestBitVectorMatchesRowDP:
         assert expected == 5
         assert levenshtein_distance(source, target) == expected
         assert levenshtein_distance(target, source) == expected
+
+
+class TestBandedPass:
+    """bit_vector_columns over a band of diagonals counts only alignments:
+    never below the distance, and exact once the band holds every optimal
+    path."""
+
+    @given(
+        st.text(alphabet="ab我", min_size=1, max_size=40),
+        st.text(alphabet="ab我", min_size=1, max_size=40),
+        st.integers(0, 45),
+    )
+    @settings(max_examples=400)
+    def test_band_value(self, s, t, p):
+        d = levenshtein_distance_dp(s, t)
+        gap = len(t) - len(s)
+        band = (min(0, gap) - p, max(0, gap) + p)
+        value = bit_vector_columns(s, t, band, [])
+        assert value >= d
+        # A path that leaves the band costs at least |gap| + 2p + 2.
+        if p >= (d - abs(gap)) // 2 or value <= abs(gap) + 2 * p + 1:
+            assert value == d
+        else:
+            # value counts a path inside band p + 1, so it certifies a band.
+            wider = (value - abs(gap)) // 2
+            band = (min(0, gap) - wider, max(0, gap) + wider)
+            assert bit_vector_columns(s, t, band) == d
+
+    @given(edited_pairs(WIDE_ALPHABET, 300))
+    @settings(max_examples=100, deadline=None)
+    def test_certified_band_of_near_pairs(self, pair):
+        s, t = pair
+        if not s or not t:
+            return
+        d = levenshtein_distance_dp(s, t)
+        gap = len(t) - len(s)
+        p = (d - abs(gap)) // 2
+        columns = []
+        assert bit_vector_columns(s, t, (min(0, gap) - p, max(0, gap) + p), columns) == d
+        assert len(columns) == len(t)
 
 
 class TestLevenshteinRatio:

@@ -22,6 +22,7 @@ from .corpus import (
     group_by_source,
     normalize,
     parse_parallel,
+    read_lines,
     write_parallel,
 )
 from .edits import (
@@ -49,7 +50,8 @@ def _name_errors(path: str) -> Iterator[None]:
     """Prefix a format error raised in the block with the file it came from.
 
     ``ParallelFormatError`` and ``M2FormatError`` give the line only; the
-    message becomes ``<path>: line N: ...``.
+    message becomes ``<path>: line N: ...``.  Every input file is read
+    inside this block, so each input error names its file the same way.
     """
     try:
         yield
@@ -70,20 +72,6 @@ def _read_groups(args) -> list:
     if getattr(args, "drop_correct", False):
         groups = filter_groups(groups, drop_correct=True, drop_identity_targets=True)
     return groups
-
-
-def _read_lines(path: str) -> Iterator[str]:
-    """Yield the lines of a UTF-8 file, each with its line ending.
-
-    Lines end at "\n" only, as in the corpus reader: a lone "\r" is data.
-    Invalid UTF-8 is reported with the file and the line.
-    """
-    with open(path, "rb") as stream:
-        for number, raw in enumerate(stream, 1):
-            try:
-                yield raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ValueError(f"{path}:{number}: invalid UTF-8: {exc}") from None
 
 
 @contextlib.contextmanager
@@ -199,11 +187,12 @@ def _cmd_to_m2(args) -> int:
 
 def _cmd_apply_m2(args) -> int:
     count = 0
-    with _atomic_write(args.output) as out, _name_errors(args.input):
-        for source, annotations in read_m2_file(_read_lines(args.input)):
-            for annotation in annotations:
-                out.write(apply_edits(source, annotation) + "\n")
-                count += 1
+    with open(args.input, "rb") as stream, _name_errors(args.input):
+        with _atomic_write(args.output) as out:
+            for source, annotations in read_m2_file(stream):
+                for annotation in annotations:
+                    out.write(apply_edits(source, annotation) + "\n")
+                    count += 1
     _write_meta(args.output, "apply-m2", {"input": args.input, "sentences": count})
     return 0
 
@@ -236,13 +225,14 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    # normalize() drops the "\r" of a CRLF ending.
-    hypotheses = [normalize(line) for line in _read_lines(args.hyp)]
-    with _name_errors(args.gold):
-        gold = list(read_m2_file(_read_lines(args.gold)))
+    with open(args.hyp, "rb") as stream, _name_errors(args.hyp):
+        hypotheses = [normalize(line) for _, line in read_lines(stream)]
+    with open(args.gold, "rb") as stream, _name_errors(args.gold):
+        gold = list(read_m2_file(stream))
     if len(gold) != len(hypotheses):
         raise ValueError(
             f"{len(gold)} gold entries but {len(hypotheses)} hypothesis lines"
+            f" (gold {args.gold}, hypotheses {args.hyp})"
         )
     entries = [
         (source, hypothesis, annotations)

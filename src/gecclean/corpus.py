@@ -16,7 +16,10 @@ _CONTROL_CHARS = dict.fromkeys(map(ord, "\t\r\n"))
 
 
 class ParallelFormatError(ValueError):
-    """Malformed corpus input; carries the 1-based line number."""
+    """A malformed input line; carries its 1-based line number.
+
+    Raised for bad TSV lines and for undecodable lines of any input file.
+    """
 
     def __init__(self, line_number: int, message: str):
         super().__init__(f"line {line_number}: {message}")
@@ -54,15 +57,13 @@ def normalize(text: str) -> str:
     return unicodedata.normalize("NFC", text)
 
 
-def parse_parallel(
-    lines: Iterable[str | bytes], multi_target: bool = False
-) -> Iterator[Sample]:
-    """Parse tab-separated parallel text into samples.
+def read_lines(lines: Iterable[str | bytes]) -> Iterator[tuple[int, str]]:
+    """Yield ``(number, line)`` for each input line, numbered from 1.
 
-    The default layout is ``source<TAB>target``, one pair per line.  With
-    ``multi_target`` each line may carry several targets and fans out into
-    one sample per (source, target) pair.  Blank lines are skipped; fields
-    that are empty after normalization are rejected.
+    Bytes are decoded as UTF-8, and the line ending is dropped: every
+    trailing "\r" and "\n", so LF and CRLF read alike.  A "\r" inside a
+    line is data; iterate a binary stream, which splits at "\n" only, to
+    keep it there.  Invalid UTF-8 raises ``ParallelFormatError``.
     """
     for number, raw in enumerate(lines, 1):
         if isinstance(raw, bytes):
@@ -70,7 +71,22 @@ def parse_parallel(
                 raw = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise ParallelFormatError(number, f"invalid UTF-8: {exc}") from exc
-        line = raw.rstrip("\r\n")
+        yield number, raw.rstrip("\r\n")
+
+
+def parse_parallel(
+    lines: Iterable[str | bytes], multi_target: bool = False
+) -> Iterator[Sample]:
+    """Parse tab-separated parallel text into samples.
+
+    ``lines`` are text or bytes lines, such as a file opened ``"rb"``; they
+    are read by ``read_lines``.  The default layout is
+    ``source<TAB>target``, one pair per line.  With ``multi_target`` each
+    line may carry several targets and fans out into one sample per
+    (source, target) pair.  Blank lines are skipped; fields that are empty
+    after normalization are rejected.
+    """
+    for number, line in read_lines(lines):
         if not line.strip():
             continue
         fields = line.split("\t")

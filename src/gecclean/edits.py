@@ -26,7 +26,7 @@ import logging
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Sequence
 
-from .corpus import normalize
+from .corpus import normalize, read_lines
 from .textmetrics import DeltaColumn, bit_vector_columns, common_affixes
 
 logger = logging.getLogger(__name__)
@@ -312,31 +312,16 @@ def to_m2(source: str, annotations: Sequence[Annotation]) -> str:
 
 
 def _decode_s_line(remainder: str, line_number: int | None) -> str:
-    # Tokens are single characters joined by single spaces, so a literal
-    # space token appears as exactly two consecutive empty split fields.
-    if remainder == "":
-        return ""
-    tokens: list[str] = []
-    empties = 0
-    for field in remainder.split(" "):
-        if field == "":
-            empties += 1
-            continue
-        if empties % 2:
-            raise M2FormatError("unbalanced spaces in S line", line_number)
-        tokens.append(" " * (empties // 2))
-        empties = 0
-        if len(field) != 1:
-            raise M2FormatError(
-                f"multi-character token {field!r} in S line"
-                " (this is a character-level format)",
-                line_number,
-            )
-        tokens.append(field)
-    if empties % 2:
-        raise M2FormatError("unbalanced spaces in S line", line_number)
-    tokens.append(" " * (empties // 2))
-    return "".join(tokens)
+    # A valid S line is " ".join of one-character tokens, so the tokens sit
+    # at the even offsets, and joining them again gives the line back.
+    source = remainder[::2]
+    if " ".join(source) != remainder:
+        raise M2FormatError(
+            "S line is not single characters joined by single spaces"
+            " (this is a character-level format)",
+            line_number,
+        )
+    return source
 
 
 def _parse_a_line(
@@ -446,18 +431,20 @@ def write_m2_file(blocks: Iterable[str], out: IO[str]) -> int:
 
 
 def read_m2_file(
-    lines: Iterable[str],
+    lines: Iterable[str | bytes],
 ) -> Iterator[tuple[str, list[Annotation]]]:
     """Parse a whole M2 file into (source, annotations) entries.
 
+    ``lines`` are text or bytes lines, such as a file opened ``"rb"``; they
+    are read by ``corpus.read_lines``, so a line ends at LF or CRLF and
+    invalid UTF-8 raises ``ParallelFormatError`` with its line number.
     Blocks must be separated by exactly one blank line; trailing blank
     lines at end of file are tolerated.
     """
     block: list[str] = []
     block_start = 1
     stray_blank: int | None = None
-    for number, raw in enumerate(lines, 1):
-        line = raw.rstrip("\n").rstrip("\r")
+    for number, line in read_lines(lines):
         if line == "":
             if block:
                 yield parse_m2("\n".join(block) + "\n", block_start)

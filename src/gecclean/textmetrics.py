@@ -42,7 +42,7 @@ def levenshtein_distance(s: str, t: str) -> int:
         return len(s)
     if len(s) > len(t):
         s, t = t, s
-    return bit_vector_columns(s, t)
+    return bit_vector_columns(s, t, (-len(s), len(t)))
 
 
 DeltaColumn = tuple[int, int, int, int]
@@ -51,7 +51,7 @@ DeltaColumn = tuple[int, int, int, int]
 def bit_vector_columns(
     s: str,
     t: str,
-    band: tuple[int, int] | None = None,
+    band: tuple[int, int],
     columns: list[DeltaColumn] | None = None,
 ) -> int:
     """D(len(s), len(t)) of the unit-cost DP matrix D(i, j) of s against t.
@@ -60,8 +60,8 @@ def bit_vector_columns(
     (Myers 1999; Hyyrö 2001): a fixed number of integer operations per
     character of t, on integers of one bit per row of s.
 
-    Given ``band = (klo, khi)``, which must hold the diagonals 0 and
-    len(t) - len(s), the pass covers only the diagonals klo <= j - i <= khi
+    The pass covers only the diagonals klo <= j - i <= khi of ``band =
+    (klo, khi)``, which must hold the diagonals 0 and len(t) - len(s)
     (Hyyrö 2004): column j is a window of min(khi - klo + 1, len(s)) rows
     starting at row lo + 1, lo = max(0, j - khi - 1), that slides down one
     row a column once lo > 0.  The cell above a window is given one more
@@ -70,8 +70,9 @@ def bit_vector_columns(
     optimal path from (0, 0) reaches inside the band.  A row entering the
     bottom of a window starts level with the cell above it; that only
     offers its cell in the new column a step from the left, which never
-    beats the diagonal step from the cell above.  With no band the window
-    is all of s.
+    beats the diagonal step from the cell above.  The band
+    (-len(s), len(t)) holds every diagonal: its window is all of s and
+    never slides.
 
     Given ``columns``, it appends for each column j = 1..len(t) the delta
     vectors ``(pv, mv, ph, mh)`` that a backtrace needs: bit i-1-lo of pv
@@ -85,14 +86,8 @@ def bit_vector_columns(
     for char in s:
         peq[char] = peq.get(char, 0) | bit
         bit <<= 1
-    if band:
-        klo, khi = band
-        width = khi - klo + 1
-        if width > m:
-            width = m
-    else:
-        khi = len(t)
-        width = m
+    klo, khi = band
+    width = min(khi - klo + 1, m)
     mask = (1 << width) - 1
     pv = mask
     mv = 0

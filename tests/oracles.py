@@ -9,12 +9,17 @@ bit-vector deltas, and ``levenshtein_distance_dp`` is the row DP the
 package used before its bit-vector kernel; the last two are kept as the
 references for long pairs.  ``align_full_matrix`` checks the package's
 aligner, which keeps the bit-vector deltas of only a band of diagonals.
+``decode_s_line_by_tokens`` is the M2 S-line decoder the package used
+before it took every other character; it shares only the package's
+exception class.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
+
+from gecclean.edits import M2FormatError
 
 STEP_PRIORITY = {"match": 0, "substitute": 1, "delete": 2, "insert": 3}
 
@@ -184,3 +189,32 @@ def levenshtein_distance_dp(s: str, t: str) -> int:
             row[i] = best
             diagonal = above
     return row[-1]
+
+
+def decode_s_line_by_tokens(remainder: str, line_number: int | None) -> str:
+    """Decode an S line by counting the empty fields of a split on spaces."""
+    # Tokens are single characters joined by single spaces, so a literal
+    # space token appears as exactly two consecutive empty split fields.
+    if remainder == "":
+        return ""
+    tokens: list[str] = []
+    empties = 0
+    for field in remainder.split(" "):
+        if field == "":
+            empties += 1
+            continue
+        if empties % 2:
+            raise M2FormatError("unbalanced spaces in S line", line_number)
+        tokens.append(" " * (empties // 2))
+        empties = 0
+        if len(field) != 1:
+            raise M2FormatError(
+                f"multi-character token {field!r} in S line"
+                " (this is a character-level format)",
+                line_number,
+            )
+        tokens.append(field)
+    if empties % 2:
+        raise M2FormatError("unbalanced spaces in S line", line_number)
+    tokens.append(" " * (empties // 2))
+    return "".join(tokens)

@@ -145,7 +145,9 @@ class TestM2Pipeline:
         hyp = tmp_path / "hyp.txt"
         hyp.write_bytes(b"ax\rcd\n")
         assert main(["score", "--gold", str(gold), "--hyp", str(hyp)]) == 1
-        assert "2 gold entries but 1 hypothesis lines" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "2 gold entries but 1 hypothesis lines" in err
+        assert f"(gold {gold}, hypotheses {hyp})" in err
 
     def test_crlf_hypotheses_score_like_lf(self, tmp_path, capsys):
         corpus = write(tmp_path / "in.tsv", TWO_GROUP_TSV)
@@ -188,23 +190,31 @@ class TestM2Pipeline:
 
     @pytest.mark.parametrize(
         "command, bad_file",
-        [("score", "hyp"), ("score", "gold"), ("apply-m2", "gold")],
+        [
+            ("score", "hyp"),
+            ("score", "gold"),
+            ("apply-m2", "gold"),
+            ("clean", "tsv"),
+        ],
     )
     def test_invalid_utf8_names_file_and_line(self, tmp_path, capsys, command, bad_file):
         corpus = write(tmp_path / "in.tsv", TWO_GROUP_TSV)
         gold = tmp_path / "gold.m2"
         main(["to-m2", str(corpus), "-o", str(gold)])
         hyp = write(tmp_path / "hyp.txt", "abcf\npqr\n")
-        target = hyp if bad_file == "hyp" else gold
+        target = {"hyp": hyp, "gold": gold, "tsv": corpus}[bad_file]
         lines = target.read_bytes().split(b"\n")
         lines[1] = lines[1][:6] + b"\xff" + lines[1][6:]
         target.write_bytes(b"\n".join(lines))
         if command == "score":
             argv = ["score", "--gold", str(gold), "--hyp", str(hyp)]
-        else:
+        elif command == "apply-m2":
             argv = ["apply-m2", str(gold), "-o", str(tmp_path / "out.txt")]
+        else:
+            out = str(tmp_path / "out.tsv")
+            argv = ["clean", str(corpus), "-o", out, "--strategy", "lev_sim"]
         assert main(argv) == 1
-        assert f"{target}:2: invalid UTF-8: " in capsys.readouterr().err
+        assert f"{target}: line 2: invalid UTF-8: " in capsys.readouterr().err
 
     def test_apply_m2_lone_cr_is_not_a_line_break(self, tmp_path, capsys):
         noop = "A -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||0\n"
@@ -212,7 +222,7 @@ class TestM2Pipeline:
         gold.write_bytes(f"S a b\n{noop}\nS a\rb\n{noop}".encode("utf-8"))
         assert main(["apply-m2", str(gold), "-o", str(tmp_path / "out.txt")]) == 1
         err = capsys.readouterr().err
-        assert "line 4: multi-character token" in err
+        assert "line 4: S line is not single characters joined by single spaces" in err
         assert "line 5" not in err
 
 

@@ -1,3 +1,4 @@
+import io
 import itertools
 import random
 import tracemalloc
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gecclean import edits
+from gecclean.corpus import ParallelFormatError
 from gecclean.edits import (
     Annotation,
     Edit,
@@ -20,7 +22,7 @@ from gecclean.edits import (
     write_m2_file,
 )
 from gecclean.textmetrics import levenshtein_distance
-from oracles import align_full_matrix, canonical_min_path
+from oracles import align_full_matrix, canonical_min_path, decode_s_line_by_tokens
 
 TABLE_SOURCE = "我能胜任这此职务"
 TABLE_REF1 = "我能胜任这职务。"
@@ -477,6 +479,19 @@ class TestM2Format:
         assert source == ""
         assert annotations[0].edits == (Edit(0, 0, "x"),)
 
+    def test_s_line_decoder_matches_token_loop(self):
+        noop = "\nA -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||0\n"
+        for length in range(10):
+            for chars in itertools.product(" a\r", repeat=length):
+                remainder = "".join(chars)
+                try:
+                    expected = decode_s_line_by_tokens(remainder, 1)
+                except M2FormatError:
+                    with pytest.raises(M2FormatError, match="line 1: S line"):
+                        parse_m2("S " + remainder + noop)
+                else:
+                    assert parse_m2("S " + remainder + noop)[0] == expected
+
     def test_marker_collision_rejected_on_write(self):
         with pytest.raises(ValueError, match="collides"):
             to_m2("abcdef", [Annotation((Edit(0, 6, "-NONE-"),), 0)])
@@ -528,3 +543,17 @@ class TestM2File:
         )
         with pytest.raises(M2FormatError, match="line 5"):
             list(read_m2_file(text.splitlines(True)))
+
+    def test_crlf_bytes_read_like_lf_text(self):
+        text = TABLE_BLOCK + "\n" + to_m2("a b", [extract_edits("a b", "ab")])
+        crlf = io.BytesIO(text.replace("\n", "\r\n").encode("utf-8"))
+        assert list(read_m2_file(crlf)) == list(read_m2_file(text.splitlines(True)))
+
+    def test_invalid_utf8_in_bytes_carries_line_number(self):
+        data = (
+            b"S a b\nA 0 1|||R|||x|||REQUIRED|||-NONE-|||0\n"
+            b"A 2 3|||R|||\xff|||REQUIRED|||-NONE-|||0\n"
+        )
+        with pytest.raises(ParallelFormatError) as excinfo:
+            list(read_m2_file(io.BytesIO(data)))
+        assert excinfo.value.line_number == 3

@@ -95,25 +95,35 @@ def _atomic_write(path: str) -> Iterator[IO[str]]:
         raise
 
 
-def _write_meta(output: str, command: str, config: dict) -> None:
-    """Write the ``<output>.meta.json`` sidecar; call it after the output."""
+# Parsed arguments that are not configuration: dispatch, the output's own
+# path, and --threads, which changes nothing.
+_NOT_CONFIG = frozenset({"command", "handler", "output", "threads"})
+
+
+def _write_meta(args, **counts) -> None:
+    """Write the ``<output>.meta.json`` sidecar; call it after the output.
+
+    It records every parsed argument outside ``_NOT_CONFIG``, plus
+    ``counts``, so a new option is recorded without further code.
+    """
+    config = {key: value for key, value in vars(args).items() if key not in _NOT_CONFIG}
     meta = {
         "tool": "gecclean",
         "version": __version__,
-        "command": command,
-        "config": config,
+        "command": args.command,
+        "config": config | counts,
     }
-    with _atomic_write(f"{output}.meta.json") as out:
+    with _atomic_write(f"{args.output}.meta.json") as out:
         out.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
-def _emit(args, text: str, command: str, config: dict) -> None:
+def _emit(args, text: str) -> None:
     if args.output is None:
         sys.stdout.write(text)
     else:
         with _atomic_write(args.output) as out:
             out.write(text)
-        _write_meta(args.output, command, config)
+        _write_meta(args)
 
 
 def _cmd_clean(args) -> int:
@@ -122,18 +132,7 @@ def _cmd_clean(args) -> int:
     samples = clean_corpus(groups, config)
     with _atomic_write(args.output) as out:
         count = write_parallel(samples, out)
-    _write_meta(
-        args.output,
-        "clean",
-        {
-            "input": args.input,
-            "strategy": args.strategy,
-            "seed": args.seed,
-            "multi_target_lines": args.multi_target_lines,
-            "drop_correct": args.drop_correct,
-            "samples": count,
-        },
-    )
+    _write_meta(args, samples=count)
     return 0
 
 
@@ -145,16 +144,7 @@ def _cmd_stats(args) -> int:
         group_by_source(samples), drop_correct=True, drop_identity_targets=True
     )
     text = render_stats_report(overall, bucket_stats(groups), as_json=args.json)
-    _emit(
-        args,
-        text,
-        "stats",
-        {
-            "input": args.input,
-            "multi_target_lines": args.multi_target_lines,
-            "json": args.json,
-        },
-    )
+    _emit(args, text)
     return 0
 
 
@@ -172,16 +162,7 @@ def _cmd_to_m2(args) -> int:
     )
     with _atomic_write(args.output) as out:
         count = write_m2_file(blocks, out)
-    _write_meta(
-        args.output,
-        "to-m2",
-        {
-            "input": args.input,
-            "multi_target_lines": args.multi_target_lines,
-            "drop_correct": args.drop_correct,
-            "entries": count,
-        },
-    )
+    _write_meta(args, entries=count)
     return 0
 
 
@@ -193,34 +174,21 @@ def _cmd_apply_m2(args) -> int:
                 for annotation in annotations:
                     out.write(apply_edits(source, annotation) + "\n")
                     count += 1
-    _write_meta(args.output, "apply-m2", {"input": args.input, "sentences": count})
+    _write_meta(args, sentences=count)
     return 0
 
 
 def _cmd_ablate(args) -> int:
     groups = _read_groups(args)
-    n_values = sorted({int(part) for part in args.n_values.split(",") if part})
     datasets = build_ablation(
-        groups, args.k_min, n_values, args.seed, max_groups=args.max_groups
+        groups, args.k_min, args.n_values, args.seed, max_groups=args.max_groups
     )
     written = {}
     for n, samples in datasets.items():
         path = f"{args.output}.n{n}.tsv"
         with _atomic_write(path) as out:
             written[path] = write_parallel(samples, out)
-    _write_meta(
-        args.output,
-        "ablate",
-        {
-            "input": args.input,
-            "k_min": args.k_min,
-            "n_values": n_values,
-            "seed": args.seed,
-            "max_groups": args.max_groups,
-            "multi_target_lines": args.multi_target_lines,
-            "outputs": written,
-        },
-    )
+    _write_meta(args, outputs=written)
     return 0
 
 
@@ -240,12 +208,7 @@ def _cmd_score(args) -> int:
     ]
     report = evaluate_corpus(entries)
     text = render_score_report(report, as_json=args.json)
-    _emit(
-        args,
-        text,
-        "score",
-        {"gold": args.gold, "hyp": args.hyp, "json": args.json},
-    )
+    _emit(args, text)
     return 0
 
 
@@ -254,6 +217,16 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _int_list(text: str) -> list[int]:
+    """The distinct integers of a comma-separated list, sorted."""
+    try:
+        return sorted({int(part) for part in text.split(",") if part})
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,7 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--k-min", type=int, required=True, help="minimum targets per kept group"
     )
     ablate.add_argument(
-        "--n-values", required=True, help="comma-separated target counts, e.g. 1,2,3"
+        "--n-values",
+        type=_int_list,
+        required=True,
+        help="comma-separated target counts, e.g. 1,2,3",
     )
     ablate.add_argument("--seed", type=int, default=42, help="shuffle seed")
     ablate.add_argument(

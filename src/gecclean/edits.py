@@ -408,14 +408,19 @@ def parse_m2(block: str, first_line_number: int = 1) -> tuple[str, list[Annotati
             if existing is None:
                 existing = []
                 collected[annotator_id] = existing
+            else:
+                # Annotation holds the order rule; checking each edit
+                # against the annotator's previous one names its line.
+                try:
+                    Annotation((existing[-1], edit))
+                except ValueError as exc:
+                    raise M2FormatError(str(exc), number) from None
             existing.append(edit)
 
-    annotations = []
-    for annotator_id, edits in collected.items():
-        try:
-            annotations.append(Annotation(tuple(edits or ()), annotator_id))
-        except ValueError as exc:
-            raise M2FormatError(str(exc), first_line_number) from None
+    annotations = [
+        Annotation(tuple(edits or ()), annotator_id)
+        for annotator_id, edits in collected.items()
+    ]
     return source, annotations
 
 

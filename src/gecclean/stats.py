@@ -130,6 +130,23 @@ class _BucketAccumulator:
         )
 
 
+def _pair_values(source: str, target: str) -> tuple[float, int]:
+    """The Levenshtein ratio of a pair and its edit count, from one alignment."""
+    edits = extract_edits(source, target).edits
+    total = len(source) + len(target)
+    if total == 0:
+        return 1.0, 0
+    # A merged edit is a run of s substitutions, d deletions and i
+    # insertions: it costs s + d + i, spans s + d source characters and
+    # replaces them with s + i.  In a minimum-cost alignment d or i is 0,
+    # since one substitution would replace a deletion and an insertion at
+    # lower cost; so the edit costs max(end - start, len(replacement)), and
+    # their sum is levenshtein_distance.  The ratio is levenshtein_ratio's:
+    # the same integer over the same total.
+    distance = sum(max(edit.end - edit.start, len(edit.replacement)) for edit in edits)
+    return (total - distance) / total, len(edits)
+
+
 def bucket_stats(groups: Iterable[SourceGroup]) -> list[TargetCountBucketStats]:
     """Per-target-count statistics plus a total row.
 
@@ -143,13 +160,7 @@ def bucket_stats(groups: Iterable[SourceGroup]) -> list[TargetCountBucketStats]:
     group_count = 0
     for group in groups:
         group_count += 1
-        pair_values = [
-            (
-                levenshtein_ratio(group.source, target),
-                len(extract_edits(group.source, target).edits),
-            )
-            for target in group.targets
-        ]
+        pair_values = [_pair_values(group.source, target) for target in group.targets]
         size = len(group.targets)
         label = str(size) if size < POOLED_BUCKET_MIN else _POOLED_LABEL
         buckets[label].add(len(group.source), pair_values)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from gecclean import __version__
 from gecclean.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -270,6 +271,19 @@ class TestAblate:
         assert excinfo.value.code == 2
         assert "--max-groups" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_values", ["1,x", "a"])
+    def test_non_integer_n_values_rejected(self, tmp_path, capsys, n_values):
+        corpus = write(tmp_path / "in.tsv", "s\ta\ns\tb\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "ablate", str(corpus), "-o", str(tmp_path / "x"),
+                    "--k-min", "2", "--n-values", n_values,
+                ]
+            )
+        assert excinfo.value.code == 2
+        assert "--n-values" in capsys.readouterr().err
+
 
 class TestThreads:
     def test_thread_count_does_not_change_bytes(self, tmp_path):
@@ -353,3 +367,107 @@ class TestFormatErrorsNameTheFile:
         err = capsys.readouterr().err
         assert f"{gold}: line 2: unknown edit kind 'X'" in err
         assert str(hyp) not in err
+
+
+class TestSidecarContent:
+    """Each sidecar whole: every parsed option but the output path and
+    ``--threads``, plus the command's count."""
+
+    @staticmethod
+    def sidecar(output) -> dict:
+        return json.loads(Path(f"{output}.meta.json").read_text(encoding="utf-8"))
+
+    @staticmethod
+    def expected(command: str, config: dict) -> dict:
+        return {
+            "tool": "gecclean",
+            "version": __version__,
+            "command": command,
+            "config": config,
+        }
+
+    def test_clean_records_no_threads(self, tmp_path):
+        corpus = write(tmp_path / "in.tsv", TWO_GROUP_TSV)
+        out = tmp_path / "out.tsv"
+        argv = ["clean", str(corpus), "-o", str(out), "--strategy", "random"]
+        assert main(argv + ["--seed", "5", "--threads", "3"]) == 0
+        assert self.sidecar(out) == self.expected(
+            "clean",
+            {
+                "input": str(corpus),
+                "strategy": "random",
+                "seed": 5,
+                "multi_target_lines": False,
+                "drop_correct": False,
+                "samples": 2,
+            },
+        )
+
+    def test_stats(self, tmp_path):
+        corpus = write(tmp_path / "in.tsv", "s\tt1\tt2\n")
+        out = tmp_path / "report.json"
+        argv = ["stats", str(corpus), "--multi-target-lines", "--json", "-o", str(out)]
+        assert main(argv) == 0
+        assert self.sidecar(out) == self.expected(
+            "stats",
+            {"input": str(corpus), "multi_target_lines": True, "json": True},
+        )
+
+    def test_to_m2_and_apply_m2(self, tmp_path):
+        corpus = write(tmp_path / "in.tsv", TWO_GROUP_TSV)
+        gold = tmp_path / "gold.m2"
+        assert main(["to-m2", str(corpus), "-o", str(gold), "--drop-correct"]) == 0
+        assert self.sidecar(gold) == self.expected(
+            "to-m2",
+            {
+                "input": str(corpus),
+                "multi_target_lines": False,
+                "drop_correct": True,
+                "entries": 2,
+            },
+        )
+        restored = tmp_path / "restored.txt"
+        assert main(["apply-m2", str(gold), "-o", str(restored)]) == 0
+        assert self.sidecar(restored) == self.expected(
+            "apply-m2", {"input": str(gold), "sentences": 3}
+        )
+
+    def test_ablate_records_sorted_distinct_n_values(self, tmp_path):
+        corpus = write(tmp_path / "in.tsv", TWO_GROUP_TSV)
+        prefix = tmp_path / "ablation"
+        argv = ["ablate", str(corpus), "-o", str(prefix), "--k-min", "2"]
+        assert main(argv + ["--n-values", "2,1,2", "--max-groups", "1"]) == 0
+        assert self.sidecar(prefix) == self.expected(
+            "ablate",
+            {
+                "input": str(corpus),
+                "k_min": 2,
+                "n_values": [1, 2],
+                "seed": 42,
+                "max_groups": 1,
+                "multi_target_lines": False,
+                "outputs": {f"{prefix}.n1.tsv": 1, f"{prefix}.n2.tsv": 2},
+            },
+        )
+
+    def test_score(self, tmp_path):
+        corpus = write(tmp_path / "in.tsv", TWO_GROUP_TSV)
+        gold = tmp_path / "gold.m2"
+        main(["to-m2", str(corpus), "-o", str(gold)])
+        hyp = write(tmp_path / "hyp.txt", "abcf\npqr\n")
+        report = tmp_path / "report.txt"
+        argv = ["score", "--gold", str(gold), "--hyp", str(hyp), "-o", str(report)]
+        assert main(argv) == 0
+        assert self.sidecar(report) == self.expected(
+            "score", {"gold": str(gold), "hyp": str(hyp), "json": False}
+        )
+
+    def test_stdout_reports_write_no_sidecar(self, tmp_path, capsys):
+        corpus = write(tmp_path / "in.tsv", TWO_GROUP_TSV)
+        gold = tmp_path / "gold.m2"
+        main(["to-m2", str(corpus), "-o", str(gold)])
+        hyp = write(tmp_path / "hyp.txt", "abcf\npqr\n")
+        before = sorted(tmp_path.iterdir())
+        assert main(["stats", str(corpus), "--json"]) == 0
+        assert main(["score", "--gold", str(gold), "--hyp", str(hyp)]) == 0
+        assert sorted(tmp_path.iterdir()) == before

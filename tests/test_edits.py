@@ -452,6 +452,30 @@ class TestM2Format:
         with pytest.raises(M2FormatError, match="line 2"):
             parse_m2("S a b\nA 0 1|||bogus\n")
 
+    def test_overlapping_edit_names_its_own_line(self):
+        block = (
+            "S a b c d\n"
+            "A 0 1|||R|||x|||REQUIRED|||-NONE-|||0\n"
+            "A 2 3|||R|||y|||REQUIRED|||-NONE-|||0\n"
+            "A 1 3|||R|||z|||REQUIRED|||-NONE-|||0\n"
+        )
+        with pytest.raises(M2FormatError, match="line 4: edits out of order") as excinfo:
+            parse_m2(block)
+        assert excinfo.value.line_number == 4
+
+    def test_second_insertion_at_a_position_names_its_own_line(self):
+        # The other annotator's line in between does not count: the rule
+        # holds within one annotator's edits.
+        block = (
+            "S a b\n"
+            "A 1 1|||M|||x|||REQUIRED|||-NONE-|||0\n"
+            "A 1 1|||M|||y|||REQUIRED|||-NONE-|||1\n"
+            "A 1 1|||M|||z|||REQUIRED|||-NONE-|||0\n"
+        )
+        with pytest.raises(M2FormatError, match="line 4: two insertions") as excinfo:
+            list(read_m2_file(block.splitlines(True)))
+        assert excinfo.value.line_number == 4
+
     def test_annotators_grouped_by_first_appearance(self):
         block = to_m2(
             TABLE_SOURCE,

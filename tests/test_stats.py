@@ -3,7 +3,9 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
+from gecclean import stats
 from gecclean.corpus import (
     Sample,
     SourceGroup,
@@ -16,7 +18,8 @@ from gecclean.stats import (
     overall_stats,
     render_report,
 )
-from gecclean.textmetrics import levenshtein_ratio
+from gecclean.edits import extract_edits
+from gecclean.textmetrics import levenshtein_distance, levenshtein_ratio
 
 DATA = Path(__file__).parent / "data"
 
@@ -114,6 +117,34 @@ class TestBucketStats:
 
     def test_empty_input(self):
         assert bucket_stats([]) == []
+
+
+class TestRatioFromEdits:
+    @given(
+        st.text(alphabet="ab x我能。", max_size=14),
+        st.text(alphabet="ab x我能。", max_size=14),
+    )
+    def test_edit_costs_sum_to_the_distance(self, s, t):
+        edits = extract_edits(s, t).edits
+        cost = sum(max(edit.end - edit.start, len(edit.replacement)) for edit in edits)
+        assert cost == levenshtein_distance(s, t)
+        assert stats._pair_values(s, t) == (levenshtein_ratio(s, t), len(edits))
+
+    def test_buckets_align_each_pair_once(self, monkeypatch):
+        calls = []
+
+        def counting(s, t):
+            calls.append((s, t))
+            return levenshtein_ratio(s, t)
+
+        monkeypatch.setattr(stats, "levenshtein_ratio", counting)
+        groups = filter_groups(
+            group_by_source(fixture_samples()),
+            drop_correct=True,
+            drop_identity_targets=True,
+        )
+        assert bucket_stats(groups)
+        assert calls == []
 
 
 class TestGoldenReport:

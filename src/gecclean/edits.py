@@ -107,24 +107,49 @@ class Annotation:
 def align(s: str, t: str) -> list[str]:
     """Minimum-cost unit-cost alignment path from s to t.
 
-    Returns a list of MATCH / SUBSTITUTE / DELETE / INSERT steps.  Ties in
-    the backtrace are broken in the fixed order match > substitute >
-    delete > insert, which makes the path (and everything derived from it)
-    deterministic.
+    Returns the list of MATCH / SUBSTITUTE / DELETE / INSERT steps whose
+    non-match runs ``extract_edits`` merges.  Ties are broken match >
+    substitute > delete > insert, walking back from the end.
+    """
+    # Inside a run the backtrace takes a substitution whenever both strings
+    # have characters of the run left, because D(i-1, j-1) = D(i, j) - 1
+    # there (a run costs max(span, replacement length)).  So an edit is its
+    # surplus deletes or inserts, then its substitutions.
+    path: list[str] = []
+    i = 0
+    for edit in extract_edits(s, t).edits:
+        span, length = edit.end - edit.start, len(edit.replacement)
+        path += [MATCH] * (edit.start - i)
+        path += [DELETE] * (span - length) + [INSERT] * (length - span)
+        path += [SUBSTITUTE] * min(span, length)
+        i = edit.end
+    path += [MATCH] * (len(s) - i)
+    return path
 
-    The path is the one a backtrace over the full (m+1) x (n+1) distance
-    matrix would take, but only the core left after the common prefix and
-    suffix are trimmed is computed, and of the core of lengths m', n' only
-    a band of diagonals: a bit-vector pass (``bit_vector_columns``) keeps
-    the delta vectors of each column in a window of as many bits as the
-    band has diagonals, and the backtrace reads them (Hyyrö 2004).  The
-    first band is ``_FIRST_BAND`` diagonals either side of the corners'
-    ones.  If the distance does not fit it, the value that pass returns
-    certifies a wider band (Ukkonen 1985), and one more pass computes that.
-    A near core keeps O(n') bytes and costs O(n') operations on integers of
-    a few words, besides one shift of an m'-bit mask per column; a
-    dissimilar one costs O(m' * n' / w) operations on w-bit words and
-    about m' * n' / 2 bytes.
+
+def extract_edits(s: str, t: str, annotator_id: int = 0) -> Annotation:
+    """Extract merged edits that transform s into t.
+
+    Each maximal run of contiguous non-match steps of the minimum-cost
+    alignment becomes one edit covering the source positions it consumed,
+    with the covered target characters as replacement.  Identical
+    sentences yield no edits.
+
+    The alignment is the one a backtrace over the full (m+1) x (n+1)
+    distance matrix would take, breaking ties match > substitute > delete
+    > insert, but only the core left after the common prefix and suffix
+    are trimmed is computed, and of the core of lengths m', n' only a band
+    of diagonals: a bit-vector pass (``bit_vector_columns``) keeps the
+    delta vectors of each column in a window of as many bits as the band
+    has diagonals, and the backtrace reads them (Hyyrö 2004).  The first
+    band is ``_FIRST_BAND`` diagonals either side of the corners' ones.
+    If the distance does not fit it, the value that pass returns certifies
+    a wider band (Ukkonen 1985), and one more pass computes that.  A near
+    core keeps O(n') bytes and costs O(n') operations on integers of a few
+    words, besides one shift of an m'-bit mask per column; a dissimilar
+    one costs O(m' * n' / w) operations on w-bit words and about
+    m' * n' / 2 bytes.  The backtrace walks neither the common suffix nor
+    the matched prefix, and keeps no step list.
     """
     m, n = len(s), len(t)
     if m > ALIGN_LENGTH_FLAG or n > ALIGN_LENGTH_FLAG:
@@ -132,17 +157,13 @@ def align(s: str, t: str) -> list[str]:
     # D(i, j) = D(i-1, j-1) whenever s[i-1] == t[j-1], so the backtrace
     # takes a common suffix as matches.
     prefix, suffix = common_affixes(s, t)
-    m -= suffix
-    n -= suffix
+    i, j = m - suffix, n - suffix
 
-    path: list[str] = []
-    push = path.append
-    # The core s[prefix:m], t[prefix:n] has the matrix
-    # D(prefix + i, prefix + j); i and j index it until the backtrace
-    # reaches its first row or column.
-    i, j = m - prefix, n - prefix
-    if i and j:
-        core_s, core_t = s[prefix:m], t[prefix:n]
+    # The core s[prefix:i], t[prefix:j]; column c of its pass is column
+    # prefix + c of the full matrix, and row r its row prefix + r.
+    first = prefix + 1
+    if i > prefix and j > prefix:
+        core_s, core_t = s[prefix:i], t[prefix:j]
         # The band spans diagonals k = j - i from min(0, gap) - p to
         # max(0, gap) + p, gap = j - i.  A path that leaves it costs at
         # least |gap| + 2p + 2.  The pass returns the cost of some
@@ -163,99 +184,63 @@ def align(s: str, t: str) -> list[str]:
                 break
             p = (here - abs(gap)) // 2
 
-        # Backtrace from the core's last cell, with here = D(i, j):
-        #   D(i-1, j)   = D(i, j) - (vertical delta at row i of column j)
-        #   D(i-1, j-1) = D(i-1, j) - (horizontal delta at row i-1 of
-        #                 column j)
-        # Both deltas sit at bit i-1 of column j, less the column's window
-        # offset.  The path's own cells hold the full matrix's values, and
-        # a neighbour the full matrix would not step to holds a value no
-        # lower than its own, so every decision is the full matrix's.
-        while i and j:
-            if core_s[i - 1] == core_t[j - 1]:
-                push(MATCH)
-                i -= 1
-                j -= 1
-                continue
-            pv, mv, ph, mh = columns[j - 1]
-            bit = i - 1
-            if j > khi + 1:
-                bit -= j - khi - 1
-            up = here - ((pv >> bit) & 1) + ((mv >> bit) & 1)
-            diag = up - ((ph >> bit) & 1) + ((mh >> bit) & 1)
-            if diag + 1 == here:
-                push(SUBSTITUTE)
-                i -= 1
-                j -= 1
-                here = diag
-                continue
-            if up + 1 == here:
-                push(DELETE)
-                i -= 1
-                here = up
-            else:
-                push(INSERT)
-                j -= 1
-                here -= 1
-
+    # Backtrace from (i, j), the last cell before the suffix, to the
+    # origin; end is the cell after the run being walked, None on a match.
+    # In the core, with here = D(i, j):
+    #   D(i-1, j)   = D(i, j) - (vertical delta at row i of column j)
+    #   D(i-1, j-1) = D(i-1, j) - (horizontal delta at row i-1 of column j)
+    # Both deltas sit at core bit i-1 of column j, less the column's window
+    # offset.  The path's own cells hold the full matrix's values, and a
+    # neighbour the full matrix would not step to holds a value no lower
+    # than its own, so every decision is the full matrix's.
     # Out of the core, min(i, j) <= prefix, so one of s[:i] and t[:j] is a
     # prefix of the other and D(i, j) = |i - j|: no matrix is needed.  A
     # substitution there never ties (D(i-1, j-1) + 1 > D(i, j)), so the
     # full matrix's backtrace takes a match when the characters agree and
     # otherwise steps along the longer string, deleting if i > j and
     # inserting if i < j; once i == j, the rest is matches.
-    i += prefix
-    j += prefix
-    while i != j and i and j:
-        if s[i - 1] == t[j - 1]:
-            push(MATCH)
-            i -= 1
-            j -= 1
-        elif i > j:
-            push(DELETE)
-            i -= 1
-        else:
-            push(INSERT)
-            j -= 1
-    if i == j:
-        path.extend([MATCH] * i)
-    else:
-        path.extend([DELETE] * i)
-        path.extend([INSERT] * j)
-    path.reverse()
-    path.extend([MATCH] * suffix)
-    return path
-
-
-def extract_edits(s: str, t: str, annotator_id: int = 0) -> Annotation:
-    """Extract merged edits that transform s into t.
-
-    Each maximal run of contiguous non-match alignment steps becomes one
-    edit covering the source positions it consumed, with the covered target
-    characters as replacement.  Identical sentences yield no edits.
-    """
-    edits = []
-    i = j = 0
-    run: tuple[int, int] | None = None
-    for step in align(s, t):
-        if step == MATCH:
-            if run is not None:
-                edits.append(Edit(run[0], i, t[run[1] : j]))
-                run = None
-            i += 1
-            j += 1
+    edits: list[Edit] = []
+    end: tuple[int, int] | None = None
+    while True:
+        if i > prefix and j > prefix:
+            if s[i - 1] != t[j - 1]:
+                if end is None:
+                    end = i, j
+                pv, mv, ph, mh = columns[j - first]
+                bit = i - first
+                if j - first > khi:
+                    bit -= j - first - khi
+                up = here - ((pv >> bit) & 1) + ((mv >> bit) & 1)
+                diag = up - ((ph >> bit) & 1) + ((mh >> bit) & 1)
+                if diag + 1 == here:
+                    i -= 1
+                    j -= 1
+                    here = diag
+                elif up + 1 == here:
+                    i -= 1
+                    here = up
+                else:
+                    j -= 1
+                    here -= 1
+                continue
+        elif i == j:
+            break
+        elif not (i and j and s[i - 1] == t[j - 1]):
+            if end is None:
+                end = i, j
+            if i > j:
+                i -= 1
+            else:
+                j -= 1
             continue
-        if run is None:
-            run = (i, j)
-        if step == SUBSTITUTE:
-            i += 1
-            j += 1
-        elif step == DELETE:
-            i += 1
-        else:
-            j += 1
-    if run is not None:
-        edits.append(Edit(run[0], i, t[run[1] : j]))
+        if end is not None:
+            edits.append(Edit(i, end[0], t[j : end[1]]))
+            end = None
+        i -= 1
+        j -= 1
+    if end is not None:
+        edits.append(Edit(i, end[0], t[j : end[1]]))
+    edits.reverse()
     return Annotation(tuple(edits), annotator_id)
 
 
@@ -282,6 +267,8 @@ def to_m2(source: str, annotations: Sequence[Annotation]) -> str:
     The block ends with a newline and contains no blank line; blocks are
     separated by exactly one blank line at the file level (write_m2_file).
     """
+    if not annotations:
+        raise ValueError("an M2 block needs an annotation (a noop annotation counts)")
     lines = ["S " + " ".join(source)]
     seen: set[int] = set()
     for annotation in annotations:
@@ -333,15 +320,20 @@ def _parse_a_line(
             f"expected 6 '|||'-separated fields, found {len(fields)}", line_number
         )
     span, kind, replacement, required, comment, annotator = fields
-    parts = span.split(" ")
+    # Only numbers as to_m2 writes them: int() alone also reads "+0", "0_0",
+    # "01" and non-ASCII digits.
     try:
-        start, end = (int(p) for p in parts)
+        start, end = map(int, span.split(" "))
+        if f"{start} {end}" != span:
+            raise ValueError(span)
     except ValueError:
         raise M2FormatError(f"bad edit span {span!r}", line_number) from None
     if required != "REQUIRED" or comment != _NONE_FIELD:
         raise M2FormatError("unexpected REQUIRED/-NONE- fields", line_number)
     try:
         annotator_id = int(annotator)
+        if str(annotator_id) != annotator:
+            raise ValueError(annotator)
     except ValueError:
         raise M2FormatError(f"bad annotator id {annotator!r}", line_number) from None
     if annotator_id < 0:
@@ -385,6 +377,8 @@ def parse_m2(block: str, first_line_number: int = 1) -> tuple[str, list[Annotati
     if not lines or not lines[0].startswith("S "):
         raise M2FormatError("block must start with an 'S ' line", number)
     source = _decode_s_line(lines[0][2:], number)
+    if len(lines) == 1:
+        raise M2FormatError("block has no 'A' line (a noop line counts)", number)
 
     collected: dict[int, list[Edit] | None] = {}
     for offset, line in enumerate(lines[1:], 1):

@@ -9,9 +9,11 @@ bit-vector deltas, and ``levenshtein_distance_dp`` is the row DP the
 package used before its bit-vector kernel; the last two are kept as the
 references for long pairs.  ``align_full_matrix`` checks the package's
 aligner, which keeps the bit-vector deltas of only a band of diagonals.
+``merge_path`` is the forward walk over a per-character path that
+``extract_edits`` used before its backtrace emitted merged edits.
 ``decode_s_line_by_tokens`` is the M2 S-line decoder the package used
-before it took every other character; it shares only the package's
-exception class.
+before it took every other character.  These two share only the package's
+``Edit`` type and exception class.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from gecclean.edits import M2FormatError
+from gecclean.edits import Edit, M2FormatError
 
 STEP_PRIORITY = {"match": 0, "substitute": 1, "delete": 2, "insert": 3}
 
@@ -146,6 +148,37 @@ def align_full_matrix(s: str, t: str) -> list[str]:
             j -= 1
     path.reverse()
     return path
+
+
+def merge_path(path: list[str], t: str) -> tuple[Edit, ...]:
+    """Merge each maximal run of non-match steps of a path into one edit.
+
+    The run covers the source positions it consumed, with the covered
+    target characters as replacement.
+    """
+    edits = []
+    i = j = 0
+    run: tuple[int, int] | None = None
+    for step in path:
+        if step == "match":
+            if run is not None:
+                edits.append(Edit(run[0], i, t[run[1] : j]))
+                run = None
+            i += 1
+            j += 1
+            continue
+        if run is None:
+            run = (i, j)
+        if step == "substitute":
+            i += 1
+            j += 1
+        elif step == "delete":
+            i += 1
+        else:
+            j += 1
+    if run is not None:
+        edits.append(Edit(run[0], i, t[run[1] : j]))
+    return tuple(edits)
 
 
 def levenshtein_distance_dp(s: str, t: str) -> int:

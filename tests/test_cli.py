@@ -368,6 +368,23 @@ class TestFormatErrorsNameTheFile:
         assert f"{gold}: line 2: unknown edit kind 'X'" in err
         assert str(hyp) not in err
 
+    NO_A_LINE_GOLD = (
+        "S a b\nA -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||0\n\nS c d\n"
+    )
+
+    def test_apply_m2_block_without_a_line(self, tmp_path, capsys):
+        gold = write(tmp_path / "gold.m2", self.NO_A_LINE_GOLD)
+        out = tmp_path / "out.txt"
+        assert main(["apply-m2", str(gold), "-o", str(out)]) == 1
+        assert f"{gold}: line 4: block has no 'A' line" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_score_block_without_a_line(self, tmp_path, capsys):
+        gold = write(tmp_path / "gold.m2", self.NO_A_LINE_GOLD)
+        hyp = write(tmp_path / "hyp.txt", "ab\ncd\n")
+        assert main(["score", "--gold", str(gold), "--hyp", str(hyp)]) == 1
+        assert f"{gold}: line 4: block has no 'A' line" in capsys.readouterr().err
+
 
 class TestSidecarContent:
     """Each sidecar whole: every parsed option but the output path and

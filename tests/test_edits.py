@@ -22,7 +22,12 @@ from gecclean.edits import (
     write_m2_file,
 )
 from gecclean.textmetrics import levenshtein_distance
-from oracles import align_full_matrix, canonical_min_path, decode_s_line_by_tokens
+from oracles import (
+    align_full_matrix,
+    canonical_min_path,
+    decode_s_line_by_tokens,
+    merge_path,
+)
 
 TABLE_SOURCE = "我能胜任这此职务"
 TABLE_REF1 = "我能胜任这职务。"
@@ -184,12 +189,17 @@ class TestAlign:
 
 
 def assert_matches_full_matrix(s, t):
-    """align() equals the full matrix, also from the narrowest first band,
-    which sends most cores through a second pass over sliding windows."""
+    """align() equals the full matrix, and extract_edits() the runs of its
+    path merged, which align() alone cannot show split; also from the
+    narrowest first band, which sends most cores through a second pass over
+    sliding windows."""
     expected = align_full_matrix(s, t)
+    merged = merge_path(expected, t)
     assert align(s, t) == expected
+    assert extract_edits(s, t).edits == merged
     with mock.patch.object(edits, "_FIRST_BAND", 0):
         assert align(s, t) == expected
+        assert extract_edits(s, t).edits == merged
 
 
 class TestBandedAlignMatchesFullMatrix:
@@ -297,6 +307,22 @@ class TestBandedAlignMatchesFullMatrix:
             Edit(5999, 6000, "Y"),
         )
         assert path == ["substitute"] + ["match"] * 5998 + ["substitute"]
+
+    def test_long_near_pair_walks_only_its_core(self, caplog):
+        # A per-character step list of this pair would take ~1.6 MB; the
+        # backtrace walks the 1 x 1 core and stops inside the prefix.
+        rng = random.Random(200_000)
+        source = "".join(rng.choices(WIDE_ALPHABET, k=200_000))
+        target = source[:100_000] + "X" + source[100_001:]
+        with caplog.at_level("WARNING", logger="gecclean.edits"):
+            tracemalloc.start()
+            try:
+                annotation = extract_edits(source, target)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert annotation.edits == (Edit(100_000, 100_001, "X"),)
+        assert peak < 64_000
 
 
 def traced_align(s, t):
@@ -487,6 +513,31 @@ class TestM2Format:
         _, annotations = parse_m2(block)
         assert [a.annotator_id for a in annotations] == [0, 1]
         assert len(annotations[1].edits) == 2
+
+    def test_block_without_a_line_rejected(self):
+        with pytest.raises(M2FormatError, match="line 7: block has no 'A' line"):
+            parse_m2("S a b\n", first_line_number=7)
+
+    def test_block_without_annotation_rejected_on_write(self):
+        with pytest.raises(ValueError, match="needs an annotation"):
+            to_m2("ab", [])
+
+    @pytest.mark.parametrize("text", ["+0", "0_0", "١", "01"])
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("A {} 1|||R|||x|||REQUIRED|||-NONE-|||0", "bad edit span"),
+            ("A 0 {}|||R|||x|||REQUIRED|||-NONE-|||0", "bad edit span"),
+            ("A 0 1|||R|||x|||REQUIRED|||-NONE-|||{}", "bad annotator id"),
+        ],
+        ids=["start", "end", "annotator"],
+    )
+    def test_numbers_to_m2_never_writes_rejected(self, text, line, message):
+        # int() alone reads "+0" and "0_0" as 0, "01" and "١" as 1.
+        block = "S a b\nA -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||1\n"
+        block += line.format(text) + "\n"
+        with pytest.raises(M2FormatError, match=f"line 3: {message}"):
+            parse_m2(block)
 
     def test_duplicate_annotator_rejected_on_write(self):
         with pytest.raises(ValueError, match="duplicate annotator"):

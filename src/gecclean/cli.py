@@ -84,7 +84,11 @@ def _atomic_write(path: str) -> Iterator[IO[str]]:
     ``path`` is left as it was.
     """
     temp = f"{path}.{os.getpid()}.tmp"
-    out = open(temp, "w", encoding="utf-8", newline="\n")
+    try:
+        out = open(temp, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        # Name the path the user asked for, not the temporary one.
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with out:
             yield out
@@ -94,6 +98,9 @@ def _atomic_write(path: str) -> Iterator[IO[str]]:
             os.remove(temp)
         raise
 
+
+# How much of a sentence an error message quotes.
+_SHOWN_CHARS = 40
 
 # Parsed arguments that are not configuration: dispatch, the output's own
 # path, and --threads, which changes nothing.
@@ -150,18 +157,22 @@ def _cmd_stats(args) -> int:
 
 def _cmd_to_m2(args) -> int:
     groups = _read_groups(args)
-    blocks = (
-        to_m2(
-            group.source,
-            [
-                extract_edits(group.source, target, annotator_id=i)
-                for i, target in enumerate(group.targets)
-            ],
-        )
-        for group in groups
-    )
+
+    def block(group) -> str:
+        annotations = [
+            extract_edits(group.source, target, annotator_id=i)
+            for i, target in enumerate(group.targets)
+        ]
+        try:
+            return to_m2(group.source, annotations)
+        except ValueError as exc:
+            # Groups carry no line number: name the sentence instead.
+            raise ValueError(
+                f"{args.input}: source starting {group.source[:_SHOWN_CHARS]!r}: {exc}"
+            ) from exc
+
     with _atomic_write(args.output) as out:
-        count = write_m2_file(blocks, out)
+        count = write_m2_file(map(block, groups), out)
     _write_meta(args, entries=count)
     return 0
 
@@ -213,7 +224,10 @@ def _cmd_score(args) -> int:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value

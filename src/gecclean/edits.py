@@ -22,14 +22,11 @@ replacement must not collide with them; serialization rejects such edits.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Sequence
+import warnings
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus import normalize, read_lines
 from .textmetrics import DeltaColumn, bit_vector_columns, common_affixes
-
-logger = logging.getLogger(__name__)
 
 MATCH = "match"
 SUBSTITUTE = "substitute"
@@ -62,20 +59,28 @@ class M2FormatError(ValueError):
         self.line_number = line_number
 
 
-@dataclass(frozen=True)
-class Edit:
-    """A half-open span over source characters plus its replacement text."""
-
+class _EditFields(NamedTuple):
     start: int
     end: int
     replacement: str
 
-    def __post_init__(self):
-        if self.start < 0 or self.end < self.start:
-            raise ValueError(f"invalid edit span [{self.start}, {self.end})")
-        replacement = self.replacement
+
+class Edit(_EditFields):
+    """A half-open span over source characters plus its replacement text."""
+
+    __slots__ = ()
+
+    def __new__(cls, start: int, end: int, replacement: str):
+        if start < 0 or end < start:
+            raise ValueError(f"invalid edit span [{start}, {end})")
         if "\t" in replacement or "\r" in replacement or "\n" in replacement:
             raise ValueError("edit replacement may not contain tab or newline")
+        return tuple.__new__(cls, (start, end, replacement))
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, so it validates too.
+        return cls(*iterable)
 
     @property
     def kind(self) -> str:
@@ -86,22 +91,30 @@ class Edit:
         return "R"
 
 
-@dataclass(frozen=True)
-class Annotation:
+class _AnnotationFields(NamedTuple):
+    edits: tuple[Edit, ...]
+    annotator_id: int
+
+
+class Annotation(_AnnotationFields):
     """One annotator's ordered, non-overlapping edits for a source sentence."""
 
-    edits: tuple[Edit, ...]
-    annotator_id: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "edits", tuple(self.edits))
-        if self.annotator_id < 0:
+    def __new__(cls, edits: Iterable[Edit], annotator_id: int = 0):
+        edits = tuple(edits)
+        if annotator_id < 0:
             raise ValueError("annotator_id must be non-negative")
-        for before, after in zip(self.edits, self.edits[1:]):
+        for before, after in zip(edits, edits[1:]):
             if after.start < before.end:
                 raise ValueError(f"edits out of order or overlapping: {before} then {after}")
             if before.start == before.end == after.start == after.end:
                 raise ValueError(f"two insertions share position {before.start}")
+        return tuple.__new__(cls, (edits, annotator_id))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def align(s: str, t: str) -> list[str]:
@@ -153,7 +166,10 @@ def extract_edits(s: str, t: str, annotator_id: int = 0) -> Annotation:
     """
     m, n = len(s), len(t)
     if m > ALIGN_LENGTH_FLAG or n > ALIGN_LENGTH_FLAG:
-        logger.warning("aligning an unusually long pair (%d x %d tokens)", m, n)
+        warnings.warn(
+            f"aligning an unusually long pair (over {ALIGN_LENGTH_FLAG} characters)",
+            stacklevel=2,
+        )
     # D(i, j) = D(i-1, j-1) whenever s[i-1] == t[j-1], so the backtrace
     # takes a common suffix as matches.
     prefix, suffix = common_affixes(s, t)
@@ -241,7 +257,7 @@ def extract_edits(s: str, t: str, annotator_id: int = 0) -> Annotation:
     if end is not None:
         edits.append(Edit(i, end[0], t[j : end[1]]))
     edits.reverse()
-    return Annotation(tuple(edits), annotator_id)
+    return Annotation(edits, annotator_id)
 
 
 def apply_edits(s: str, annotation: Annotation) -> str:
@@ -412,7 +428,7 @@ def parse_m2(block: str, first_line_number: int = 1) -> tuple[str, list[Annotati
             existing.append(edit)
 
     annotations = [
-        Annotation(tuple(edits or ()), annotator_id)
+        Annotation(edits or (), annotator_id)
         for annotator_id, edits in collected.items()
     ]
     return source, annotations

@@ -11,8 +11,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import random
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .corpus import Sample, SourceGroup
 from .edits import extract_edits
@@ -51,8 +50,7 @@ STRATEGY_NAMES = tuple(s.value for s in Strategy)
 _ARGMAX = frozenset({Strategy.LEV_SIM, Strategy.JAC_SIM, Strategy.EDI_MOST})
 
 
-@dataclass(frozen=True)
-class SelectionConfig:
+class SelectionConfig(NamedTuple):
     """Strategy plus the seed feeding the random strategy's streams."""
 
     strategy: Strategy

@@ -9,8 +9,7 @@ corpus before computing the final metrics.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .edits import Annotation, extract_edits
 
@@ -24,8 +23,7 @@ def f_beta(precision: float, recall: float, beta: float) -> float:
     return (1.0 + b2) * precision * recall / denominator
 
 
-@dataclass(frozen=True)
-class ScoreReport:
+class ScoreReport(NamedTuple):
     """Micro-averaged corpus counts with derived metrics.
 
     A denominator of zero yields 1.0 for the affected metric, so a no-edit
@@ -63,10 +61,7 @@ def evaluate_sentence(
         raise ValueError(
             "at least one gold annotation is required (a noop annotation counts)"
         )
-    hypothesis_edits = {
-        (e.start, e.end, e.replacement)
-        for e in extract_edits(source, hypothesis).edits
-    }
+    hypothesis_edits = set(extract_edits(source, hypothesis).edits)
     best: tuple[int, int, int] | None = None
     chosen: tuple[int, int, int, int] | None = None
     for annotation in gold:
@@ -76,7 +71,7 @@ def evaluate_sentence(
                     f"gold edit {edit} of annotator {annotation.annotator_id}"
                     f" is out of bounds for a {len(source)}-token source"
                 )
-        reference = {(e.start, e.end, e.replacement) for e in annotation.edits}
+        reference = set(annotation.edits)
         tp = len(hypothesis_edits & reference)
         fp = len(hypothesis_edits) - tp
         fn = len(reference) - tp

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .corpus import Sample, SourceGroup
 from .edits import extract_edits
@@ -32,8 +31,7 @@ class _CompensatedSum:
         self.value = t
 
 
-@dataclass(frozen=True)
-class CorpusStats:
+class CorpusStats(NamedTuple):
     """Whole-corpus statistics over samples (line-level, duplicates kept)."""
 
     sample_count: int
@@ -53,8 +51,7 @@ class CorpusStats:
         )
 
 
-@dataclass(frozen=True)
-class TargetCountBucketStats:
+class TargetCountBucketStats(NamedTuple):
     """Statistics for groups bucketed by their number of targets."""
 
     bucket: str

@@ -72,6 +72,12 @@ class TestClean:
         assert code == 1
         assert "line 2" in capsys.readouterr().err
 
+    def test_unwritable_output_names_its_path(self, tmp_path, capsys):
+        corpus = write(tmp_path / "in.tsv", TWO_GROUP_TSV)
+        out = tmp_path / "missing" / "out.tsv"
+        assert main(["clean", str(corpus), "-o", str(out), "--strategy", "lev_sim"]) == 1
+        assert f"No such file or directory: '{out}'\n" in capsys.readouterr().err
+
 
 class TestStats:
     def test_multi_target_lines_flag(self, tmp_path, capsys):
@@ -188,6 +194,38 @@ class TestM2Pipeline:
         assert gold.read_bytes() == output
         assert (tmp_path / "gold.m2.meta.json").read_bytes() == sidecar
         assert sorted(tmp_path.iterdir()) == sorted(before + [bad])
+
+    @pytest.mark.parametrize("target", ["x|||z", "-NONE-"])
+    def test_marker_collision_names_file_and_source(self, tmp_path, capsys, target):
+        good = write(tmp_path / "ok.tsv", TWO_GROUP_TSV)
+        gold = tmp_path / "gold.m2"
+        assert main(["to-m2", str(good), "-o", str(gold)]) == 0
+        output = gold.read_bytes()
+        bad = write(tmp_path / "bad.tsv", f"abcd\tabce\nxyz\t{target}\n")
+        assert main(["to-m2", str(bad), "-o", str(gold)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {bad}: source starting 'xyz': replacement " in err
+        assert "collides with M2 markers" in err
+        assert gold.read_bytes() == output
+
+    def test_long_pair_warning_printed_once(self, tmp_path):
+        lines = [f"{i}{'a' * 600}\t{i}{'a' * 600}b" for i in range(5)]
+        corpus = write(tmp_path / "long.tsv", "\n".join(lines) + "\n")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "gecclean.cli",
+                "to-m2", str(corpus), "-o", str(tmp_path / "long.m2"),
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        assert result.stderr.count("aligning an unusually long pair") == 1
+        assert "UserWarning" in result.stderr
 
     @pytest.mark.parametrize(
         "command, bad_file",
@@ -319,6 +357,24 @@ class TestThreads:
         )
         assert result.stdout == "[]\n"
 
+    def test_cli_import_loads_no_dataclasses_or_logging(self):
+        # Records are NamedTuples and the long-pair flag is a warning, so a
+        # start pays for none of these. -S keeps site hooks from importing
+        # modules of their own.
+        probe = (
+            "import gecclean.cli, sys; print([m for m in"
+            " ('dataclasses', 'inspect', 'logging') if m in sys.modules])"
+        )
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", probe],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        assert result.stdout == "[]\n"
+
 
 class TestThreadCap:
     @pytest.mark.parametrize("threads", ["0", "-3", "two"])
@@ -334,6 +390,22 @@ class TestThreadCap:
         assert excinfo.value.code == 2
         assert "--threads" in capsys.readouterr().err
         assert not (tmp_path / "out.tsv").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["clean", "{tsv}", "-o", "{out}", "--strategy", "lev_sim", "--threads", "abc"],
+            ["ablate", "{tsv}", "-o", "{out}", "--k-min", "1", "--n-values", "1",
+             "--max-groups", "abc"],
+        ],
+    )
+    def test_non_integer_count_named_plainly(self, tmp_path, capsys, argv):
+        corpus = write(tmp_path / "in.tsv", TWO_GROUP_TSV)
+        argv = [a.format(tsv=corpus, out=tmp_path / "out") for a in argv]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"argument {argv[-2]}: expected an integer, got 'abc'" in capsys.readouterr().err
 
 
 class TestFormatErrorsNameTheFile:

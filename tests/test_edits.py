@@ -121,6 +121,12 @@ def prefix_of_other(draw):
     return pair if draw(st.booleans()) else pair[::-1]
 
 
+# Pairs over 512 characters warn; tests that align them for other reasons
+# ignore the warning, which filterwarnings = ["error"] would raise.
+long_pairs = pytest.mark.filterwarnings(
+    "ignore:aligning an unusually long pair:UserWarning"
+)
+
 shared_prefix_pairs = st.one_of(
     periodic_pairs(), run_pairs(), cjk_tail_edits(), prefix_of_other()
 )
@@ -153,6 +159,25 @@ class TestEditType:
     def test_touching_edits_allowed(self):
         Annotation((Edit(0, 1, "x"), Edit(1, 1, "y")))
 
+    def test_records_are_their_tuples(self):
+        edit = Edit(0, 1, "x")
+        assert edit == (0, 1, "x")
+        assert hash(edit) == hash((0, 1, "x"))
+        start, end, replacement = edit
+        assert (start, end, replacement) == (0, 1, "x")
+        annotation = Annotation([edit], 3)
+        assert type(annotation.edits) is tuple
+        assert annotation == ((edit,), 3)
+        assert Annotation([]).annotator_id == 0
+
+    def test_replace_and_make_validate(self):
+        with pytest.raises(ValueError, match=r"invalid edit span \[-1, 1\)"):
+            Edit(0, 1, "x")._replace(start=-1)
+        with pytest.raises(ValueError, match="out of order or overlapping"):
+            Annotation._make([(Edit(1, 2, "x"), Edit(0, 1, "y")), 0])
+        with pytest.raises(ValueError, match="non-negative"):
+            Annotation(())._replace(annotator_id=-1)
+
 
 class TestAlign:
     @pytest.mark.parametrize(
@@ -180,12 +205,11 @@ class TestAlign:
         path = align(s, t)
         assert sum(1 for step in path if step != "match") == levenshtein_distance(s, t)
 
-    def test_long_pairs_are_processed_but_flagged(self, caplog):
+    def test_long_pairs_are_processed_but_flagged(self):
         long_source = "a" * 600
-        with caplog.at_level("WARNING", logger="gecclean.edits"):
+        with pytest.warns(UserWarning, match="unusually long"):
             path = align(long_source, long_source + "b")
         assert len(path) == 601
-        assert any("unusually long" in record.message for record in caplog.records)
 
 
 def assert_matches_full_matrix(s, t):
@@ -257,6 +281,7 @@ class TestBandedAlignMatchesFullMatrix:
     def test_dissimilar_pairs(self, s, t):
         assert_matches_full_matrix(s, t)
 
+    @long_pairs
     def test_long_near_pair_needs_little_memory(self):
         # The full matrix of this pair has 16 million cells: hundreds of MB.
         rng = random.Random(4000)
@@ -276,6 +301,7 @@ class TestBandedAlignMatchesFullMatrix:
             Edit(3100, 3101, "Y"),
         )
 
+    @long_pairs
     def test_long_dissimilar_pair_needs_little_memory(self):
         # A full matrix of boxed ints for this pair takes ~345 MB; the delta
         # bits of its band take about 3000 * (2p + 1) / 2 bytes.
@@ -290,6 +316,7 @@ class TestBandedAlignMatchesFullMatrix:
         with mock.patch.object(edits, "_FIRST_BAND", 3000):
             assert align(source, target) == path
 
+    @long_pairs
     def test_long_near_core_keeps_only_its_band(self, monkeypatch):
         # Edits at both ends leave a 6000 x 6000 core, whose whole columns
         # would take ~20 MB; its distance fits its first band, so one pass
@@ -308,13 +335,13 @@ class TestBandedAlignMatchesFullMatrix:
         )
         assert path == ["substitute"] + ["match"] * 5998 + ["substitute"]
 
-    def test_long_near_pair_walks_only_its_core(self, caplog):
+    def test_long_near_pair_walks_only_its_core(self):
         # A per-character step list of this pair would take ~1.6 MB; the
         # backtrace walks the 1 x 1 core and stops inside the prefix.
         rng = random.Random(200_000)
         source = "".join(rng.choices(WIDE_ALPHABET, k=200_000))
         target = source[:100_000] + "X" + source[100_001:]
-        with caplog.at_level("WARNING", logger="gecclean.edits"):
+        with pytest.warns(UserWarning, match="unusually long"):
             tracemalloc.start()
             try:
                 annotation = extract_edits(source, target)
@@ -371,6 +398,7 @@ class TestBandFilledOnce:
     or, when the core's distance does not fit that band, over the band the
     first pass certifies."""
 
+    @long_pairs
     @pytest.mark.parametrize("name", BAND_PAIRS)
     def test_one_fill_per_pair(self, name, monkeypatch):
         s, t = BAND_PAIRS[name]
@@ -387,6 +415,7 @@ class TestBandFilledOnce:
 class TestOnlyCoreFilled:
     """align() computes no row or column of the common prefix or suffix."""
 
+    @long_pairs
     def test_band_receives_the_core_only(self, monkeypatch):
         rng = random.Random(1900)
         source = "".join(rng.choices(WIDE_ALPHABET, k=2000))

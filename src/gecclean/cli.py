@@ -92,7 +92,10 @@ def _atomic_write(path: str) -> Iterator[IO[str]]:
     try:
         with out:
             yield out
-        os.replace(temp, path)
+        try:
+            os.replace(temp, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
     except BaseException:
         with contextlib.suppress(OSError):
             os.remove(temp)
@@ -213,11 +216,10 @@ def _cmd_score(args) -> int:
             f"{len(gold)} gold entries but {len(hypotheses)} hypothesis lines"
             f" (gold {args.gold}, hypotheses {args.hyp})"
         )
-    entries = [
+    report = evaluate_corpus(
         (source, hypothesis, annotations)
         for (source, annotations), hypothesis in zip(gold, hypotheses)
-    ]
-    report = evaluate_corpus(entries)
+    )
     text = render_score_report(report, as_json=args.json)
     _emit(args, text)
     return 0

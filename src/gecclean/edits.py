@@ -314,7 +314,7 @@ def to_m2(source: str, annotations: Sequence[Annotation]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _decode_s_line(remainder: str, line_number: int | None) -> str:
+def _decode_s_line(remainder: str, line_number: int) -> str:
     # A valid S line is " ".join of one-character tokens, so the tokens sit
     # at the even offsets, and joining them again gives the line back.
     source = remainder[::2]
@@ -328,7 +328,7 @@ def _decode_s_line(remainder: str, line_number: int | None) -> str:
 
 
 def _parse_a_line(
-    line: str, source_length: int, line_number: int | None
+    line: str, source_length: int, line_number: int
 ) -> tuple[int, Edit | None]:
     fields = line[2:].split("|||")
     if len(fields) != 6:
@@ -379,6 +379,48 @@ def _parse_a_line(
     return annotator_id, edit
 
 
+def _parse_block(lines: list[str], first_line_number: int) -> tuple[str, list[Annotation]]:
+    # ``lines`` are a block's lines without their line endings: at least
+    # one, and no trailing blank one.
+    number = first_line_number
+    if not lines[0].startswith("S "):
+        raise M2FormatError("block must start with an 'S ' line", number)
+    source = _decode_s_line(lines[0][2:], number)
+    if len(lines) == 1:
+        raise M2FormatError("block has no 'A' line (a noop line counts)", number)
+
+    # Each annotator's edits in order; a noop leaves the list empty.
+    collected: dict[int, list[Edit]] = {}
+    for number, line in enumerate(lines[1:], number + 1):
+        if not line.startswith("A "):
+            raise M2FormatError(f"expected an 'A ' line, got {line!r}", number)
+        annotator_id, edit = _parse_a_line(line, len(source), number)
+        edits = collected.get(annotator_id)
+        if edits is None:
+            collected[annotator_id] = [] if edit is None else [edit]
+        elif edit is None:
+            raise M2FormatError(
+                f"noop conflicts with other lines for annotator {annotator_id}",
+                number,
+            )
+        elif not edits:
+            raise M2FormatError(f"edit follows a noop for annotator {annotator_id}", number)
+        else:
+            # Annotation holds the order rule; checking each edit against
+            # the annotator's previous one names its line.
+            try:
+                Annotation((edits[-1], edit))
+            except ValueError as exc:
+                raise M2FormatError(str(exc), number) from None
+            edits.append(edit)
+
+    annotations = [
+        Annotation(edits, annotator_id)
+        for annotator_id, edits in collected.items()
+    ]
+    return source, annotations
+
+
 def parse_m2(block: str, first_line_number: int = 1) -> tuple[str, list[Annotation]]:
     """Parse one M2 block; exact inverse of ``to_m2``.
 
@@ -386,52 +428,7 @@ def parse_m2(block: str, first_line_number: int = 1) -> tuple[str, list[Annotati
     order of first appearance.  The S line is trusted as written: it is not
     re-normalized, since edit spans index its characters.
     """
-    lines = block.split("\n")
-    while lines and lines[-1] == "":
-        lines.pop()
-    number = first_line_number
-    if not lines or not lines[0].startswith("S "):
-        raise M2FormatError("block must start with an 'S ' line", number)
-    source = _decode_s_line(lines[0][2:], number)
-    if len(lines) == 1:
-        raise M2FormatError("block has no 'A' line (a noop line counts)", number)
-
-    collected: dict[int, list[Edit] | None] = {}
-    for offset, line in enumerate(lines[1:], 1):
-        number = first_line_number + offset
-        if not line.startswith("A "):
-            raise M2FormatError(f"expected an 'A ' line, got {line!r}", number)
-        annotator_id, edit = _parse_a_line(line, len(source), number)
-        if edit is None:
-            if annotator_id in collected:
-                raise M2FormatError(
-                    f"noop conflicts with other lines for annotator {annotator_id}",
-                    number,
-                )
-            collected[annotator_id] = None
-        else:
-            existing = collected.get(annotator_id)
-            if existing is None and annotator_id in collected:
-                raise M2FormatError(
-                    f"edit follows a noop for annotator {annotator_id}", number
-                )
-            if existing is None:
-                existing = []
-                collected[annotator_id] = existing
-            else:
-                # Annotation holds the order rule; checking each edit
-                # against the annotator's previous one names its line.
-                try:
-                    Annotation((existing[-1], edit))
-                except ValueError as exc:
-                    raise M2FormatError(str(exc), number) from None
-            existing.append(edit)
-
-    annotations = [
-        Annotation(edits or (), annotator_id)
-        for annotator_id, edits in collected.items()
-    ]
-    return source, annotations
+    return _parse_block(block.rstrip("\n").split("\n"), first_line_number)
 
 
 def write_m2_file(blocks: Iterable[str], out: IO[str]) -> int:
@@ -457,20 +454,17 @@ def read_m2_file(
     lines at end of file are tolerated.
     """
     block: list[str] = []
-    block_start = 1
     stray_blank: int | None = None
     for number, line in read_lines(lines):
-        if line == "":
-            if block:
-                yield parse_m2("\n".join(block) + "\n", block_start)
-                block = []
-            else:
-                stray_blank = number
-            continue
-        if stray_blank is not None:
-            raise M2FormatError("unexpected extra blank line", stray_blank)
-        if not block:
-            block_start = number
-        block.append(line)
+        if line:
+            if stray_blank is not None:
+                raise M2FormatError("unexpected extra blank line", stray_blank)
+            block.append(line)
+        elif block:
+            # The block is the len(block) lines before this blank one.
+            yield _parse_block(block, number - len(block))
+            block = []
+        else:
+            stray_blank = number
     if block:
-        yield parse_m2("\n".join(block) + "\n", block_start)
+        yield _parse_block(block, number + 1 - len(block))

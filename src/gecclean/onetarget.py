@@ -9,7 +9,6 @@ order in which groups are processed.
 from __future__ import annotations
 
 import enum
-import hashlib
 import random
 from typing import Iterable, NamedTuple
 
@@ -71,7 +70,10 @@ def score_target(strategy: Strategy, source: str, target: str) -> float | int:
 def _group_rng(seed: int, source: str) -> random.Random:
     # Keyed digest of the source text: every group gets its own stream,
     # independent of processing order, so a group's choice does not depend
-    # on which other groups the corpus holds or where they appear.
+    # on which other groups the corpus holds or where they appear.  Only
+    # random and ablate draw, so other commands do not load hashlib.
+    import hashlib
+
     digest = hashlib.blake2b(
         source.encode("utf-8"),
         digest_size=8,

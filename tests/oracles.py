@@ -13,7 +13,13 @@ aligner, which keeps the bit-vector deltas of only a band of diagonals.
 ``extract_edits`` used before its backtrace emitted merged edits.
 ``decode_s_line_by_tokens`` is the M2 S-line decoder the package used
 before it took every other character.  These two share only the package's
-``Edit`` type and exception class.
+``Edit`` type and exception class.  ``parse_m2_by_join`` and
+``read_m2_file_by_join`` are the M2 block parser and file reader the
+package used before the reader handed each block's lines straight to the
+parser: the reader joins a block's lines into one string, which the parser
+splits again, and a noop annotator is a ``None`` entry.  They share the
+package's line reader and its S-line and A-line field parsers, so they
+check block structure: line numbers, blank lines, noops and edit order.
 """
 
 from __future__ import annotations
@@ -21,7 +27,14 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from gecclean.edits import Edit, M2FormatError
+from gecclean.corpus import read_lines
+from gecclean.edits import (
+    Annotation,
+    Edit,
+    M2FormatError,
+    _decode_s_line,
+    _parse_a_line,
+)
 
 STEP_PRIORITY = {"match": 0, "substitute": 1, "delete": 2, "insert": 3}
 
@@ -251,3 +264,77 @@ def decode_s_line_by_tokens(remainder: str, line_number: int | None) -> str:
         raise M2FormatError("unbalanced spaces in S line", line_number)
     tokens.append(" " * (empties // 2))
     return "".join(tokens)
+
+
+def parse_m2_by_join(
+    block: str, first_line_number: int = 1
+) -> tuple[str, list[Annotation]]:
+    """Parse one M2 block from its text, tracking noops with ``None``."""
+    lines = block.split("\n")
+    while lines and lines[-1] == "":
+        lines.pop()
+    number = first_line_number
+    if not lines or not lines[0].startswith("S "):
+        raise M2FormatError("block must start with an 'S ' line", number)
+    source = _decode_s_line(lines[0][2:], number)
+    if len(lines) == 1:
+        raise M2FormatError("block has no 'A' line (a noop line counts)", number)
+
+    collected: dict[int, list[Edit] | None] = {}
+    for offset, line in enumerate(lines[1:], 1):
+        number = first_line_number + offset
+        if not line.startswith("A "):
+            raise M2FormatError(f"expected an 'A ' line, got {line!r}", number)
+        annotator_id, edit = _parse_a_line(line, len(source), number)
+        if edit is None:
+            if annotator_id in collected:
+                raise M2FormatError(
+                    f"noop conflicts with other lines for annotator {annotator_id}",
+                    number,
+                )
+            collected[annotator_id] = None
+        else:
+            existing = collected.get(annotator_id)
+            if existing is None and annotator_id in collected:
+                raise M2FormatError(
+                    f"edit follows a noop for annotator {annotator_id}", number
+                )
+            if existing is None:
+                existing = []
+                collected[annotator_id] = existing
+            else:
+                # Annotation holds the order rule; checking each edit
+                # against the annotator's previous one names its line.
+                try:
+                    Annotation((existing[-1], edit))
+                except ValueError as exc:
+                    raise M2FormatError(str(exc), number) from None
+            existing.append(edit)
+
+    annotations = [
+        Annotation(edits or (), annotator_id)
+        for annotator_id, edits in collected.items()
+    ]
+    return source, annotations
+
+
+def read_m2_file_by_join(lines):
+    """Read an M2 file block by block, joining each block's lines for the parser."""
+    block: list[str] = []
+    block_start = 1
+    stray_blank: int | None = None
+    for number, line in read_lines(lines):
+        if line == "":
+            if block:
+                yield parse_m2_by_join("\n".join(block) + "\n", block_start)
+                block = []
+            else:
+                stray_blank = number
+            continue
+        if stray_blank is not None:
+            raise M2FormatError("unexpected extra blank line", stray_blank)
+        if not block:
+            block_start = number
+        block.append(line)
+    if block:
+        yield parse_m2_by_join("\n".join(block) + "\n", block_start)

@@ -78,6 +78,18 @@ class TestClean:
         assert main(["clean", str(corpus), "-o", str(out), "--strategy", "lev_sim"]) == 1
         assert f"No such file or directory: '{out}'\n" in capsys.readouterr().err
 
+    def test_output_that_is_a_directory_names_its_path(self, tmp_path, capsys):
+        # The rename over the output fails, not the open of the temporary
+        # file; the message still names only the path asked for.
+        corpus = write(tmp_path / "in.tsv", TWO_GROUP_TSV)
+        out = tmp_path / "out.tsv"
+        out.mkdir()
+        assert main(["clean", str(corpus), "-o", str(out), "--strategy", "lev_sim"]) == 1
+        err = capsys.readouterr().err
+        assert f"Is a directory: '{out}'\n" in err
+        assert ".tmp" not in err
+        assert list(tmp_path.glob("*.tmp")) == []
+
 
 class TestStats:
     def test_multi_target_lines_flag(self, tmp_path, capsys):
@@ -358,12 +370,12 @@ class TestThreads:
         assert result.stdout == "[]\n"
 
     def test_cli_import_loads_no_dataclasses_or_logging(self):
-        # Records are NamedTuples and the long-pair flag is a warning, so a
-        # start pays for none of these. -S keeps site hooks from importing
-        # modules of their own.
+        # Records are NamedTuples, the long-pair flag is a warning and only
+        # the random draw imports hashlib, so a start pays for none of
+        # these. -S keeps site hooks from importing modules of their own.
         probe = (
             "import gecclean.cli, sys; print([m for m in"
-            " ('dataclasses', 'inspect', 'logging') if m in sys.modules])"
+            " ('dataclasses', 'inspect', 'logging', 'hashlib') if m in sys.modules])"
         )
         result = subprocess.run(
             [sys.executable, "-S", "-c", probe],
@@ -431,6 +443,27 @@ class TestFormatErrorsNameTheFile:
         gold = write(tmp_path / "gold.m2", "S a b\nA 0 1|||X|||b|||REQUIRED|||-NONE-|||0\n")
         assert main(["apply-m2", str(gold), "-o", str(tmp_path / "out.txt")]) == 1
         assert f"{gold}: line 2: unknown edit kind 'X'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (
+                ["A -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||0",
+                 "A 0 1|||R|||x|||REQUIRED|||-NONE-|||0"],
+                "edit follows a noop for annotator 0",
+            ),
+            (
+                ["A 0 1|||R|||x|||REQUIRED|||-NONE-|||0",
+                 "A -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||0"],
+                "noop conflicts with other lines for annotator 0",
+            ),
+        ],
+        ids=["edit-after-noop", "noop-after-edit"],
+    )
+    def test_apply_m2_noop_and_edit_of_one_annotator(self, tmp_path, capsys, lines, message):
+        gold = write(tmp_path / "gold.m2", "S a b\n" + "\n".join(lines) + "\n")
+        assert main(["apply-m2", str(gold), "-o", str(tmp_path / "out.txt")]) == 1
+        assert f"{gold}: line 3: {message}\n" in capsys.readouterr().err
 
     def test_score_names_gold_not_hypothesis(self, tmp_path, capsys):
         gold = write(tmp_path / "gold.m2", "S a b\nA 0 1|||X|||b|||REQUIRED|||-NONE-|||0\n")

@@ -27,6 +27,8 @@ from oracles import (
     canonical_min_path,
     decode_s_line_by_tokens,
     merge_path,
+    parse_m2_by_join,
+    read_m2_file_by_join,
 )
 
 TABLE_SOURCE = "我能胜任这此职务"
@@ -71,6 +73,83 @@ def near_pairs(draw):
             else:
                 del chars[position]
     return source, "".join(chars)
+
+
+# ASCII, space, CJK and astral characters for M2 sources and targets.
+M2_ALPHABET = "ab x我能。𠀀😀"
+
+# Values a mutated A-line field may take: valid ones in the wrong place
+# and near misses.
+M2_FIELDS = [
+    "", "A 0 1", "A -1 -1", "0 1", "-1 -1", "9 9", "noop", "M", "U", "R", "X",
+    "x", "-NONE-", "REQUIRED", "0", "1", "01", "-1", "x|||y",
+]
+
+
+@st.composite
+def m2_files(draw):
+    """The lines of an M2 file of random multi-annotator blocks, mutated.
+
+    Each annotator is a noop or the edits of a random target.  Mutations
+    drop, duplicate or swap lines, insert blank, noop or edit lines, replace
+    one '|||' field, or append a trailing blank line.
+    """
+    lines: list[str] = []
+    for _ in range(draw(st.integers(1, 3))):
+        source = draw(st.text(alphabet=M2_ALPHABET, max_size=6))
+        ids = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True))
+        annotations = []
+        for annotator_id in ids:
+            target = draw(st.none() | st.text(alphabet=M2_ALPHABET, max_size=6))
+            target = source if target is None else target
+            annotations.append(extract_edits(source, target, annotator_id))
+        if lines:
+            lines.append("")
+        lines += to_m2(source, annotations).splitlines()
+
+    mutations = st.tuples(
+        st.sampled_from(
+            ["drop", "duplicate", "swap", "blank", "field", "noop", "edit", "trailing"]
+        ),
+        st.integers(0, 40),
+        st.integers(0, 40),
+        st.sampled_from(M2_FIELDS),
+    )
+    for kind, i, j, field in draw(st.lists(mutations, min_size=1, max_size=3)):
+        where = i % (len(lines) + 1)
+        if kind == "blank":
+            lines.insert(where, "")
+        elif kind == "noop":
+            lines.insert(where, f"A -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||{j % 4}")
+        elif kind == "edit":
+            lines.insert(where, f"A 0 0|||M|||x|||REQUIRED|||-NONE-|||{j % 4}")
+        elif kind == "trailing":
+            lines.append("")
+        elif lines:
+            i %= len(lines)
+            if kind == "drop":
+                del lines[i]
+            elif kind == "duplicate":
+                lines.insert(i, lines[i])
+            elif kind == "swap":
+                j %= len(lines)
+                lines[i], lines[j] = lines[j], lines[i]
+            else:
+                fields = lines[i].split("|||")
+                fields[j % len(fields)] = field
+                lines[i] = "|||".join(fields)
+    return lines
+
+
+def m2_outcome(entries) -> tuple[list, tuple | None]:
+    """The entries an M2 iterator yields, and the error that stops it."""
+    got = []
+    try:
+        for entry in entries:
+            got.append(entry)
+    except ValueError as exc:
+        return got, (type(exc), str(exc), getattr(exc, "line_number", None))
+    return got, None
 
 
 @st.composite
@@ -543,6 +622,23 @@ class TestM2Format:
         assert [a.annotator_id for a in annotations] == [0, 1]
         assert len(annotations[1].edits) == 2
 
+    NOOP_LINE = "A -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||0\n"
+    EDIT_LINE = "A 0 1|||R|||x|||REQUIRED|||-NONE-|||0\n"
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (NOOP_LINE + EDIT_LINE, "edit follows a noop for annotator 0"),
+            (EDIT_LINE + NOOP_LINE, "noop conflicts with other lines for annotator 0"),
+        ],
+        ids=["edit-after-noop", "noop-after-edit"],
+    )
+    def test_noop_and_edit_of_one_annotator_name_the_later_line(self, lines, message):
+        with pytest.raises(M2FormatError) as excinfo:
+            parse_m2("S a b\n" + lines)
+        assert str(excinfo.value) == f"line 3: {message}"
+        assert excinfo.value.line_number == 3
+
     def test_block_without_a_line_rejected(self):
         with pytest.raises(M2FormatError, match="line 7: block has no 'A' line"):
             parse_m2("S a b\n", first_line_number=7)
@@ -661,3 +757,25 @@ class TestM2File:
         with pytest.raises(ParallelFormatError) as excinfo:
             list(read_m2_file(io.BytesIO(data)))
         assert excinfo.value.line_number == 3
+
+    @given(m2_files(), st.booleans())
+    @settings(max_examples=400)
+    def test_reader_and_parser_match_join_oracle(self, lines, crlf):
+        # Entries, or the same error type, message and line number, as the
+        # reader and parser that joined each block's lines and split them.
+        file_lines = [line + "\n" for line in lines]
+        if crlf:
+            file_lines = [line.replace("\n", "\r\n").encode("utf-8") for line in file_lines]
+        assert m2_outcome(read_m2_file(file_lines)) == m2_outcome(
+            read_m2_file_by_join(file_lines)
+        )
+        # parse_m2 on each run of non-blank lines, and on the whole file.
+        blocks = [("".join(line + "\n" for line in lines), 1)]
+        for blank, run in itertools.groupby(enumerate(lines, 1), lambda x: not x[1]):
+            run = list(run)
+            if not blank:
+                blocks.append(("".join(line + "\n" for _, line in run), run[0][0]))
+        for block, start in blocks:
+            assert m2_outcome(map(parse_m2, [block], [start])) == m2_outcome(
+                map(parse_m2_by_join, [block], [start])
+            )

@@ -44,6 +44,7 @@ from .stats import (
     CorpusStats,
     TargetCountBucketStats,
     bucket_stats,
+    corpus_stats,
     overall_stats,
 )
 from .textmetrics import jaccard_similarity, levenshtein_distance, levenshtein_ratio
@@ -66,6 +67,7 @@ __all__ = [
     "bucket_stats",
     "build_ablation",
     "clean_corpus",
+    "corpus_stats",
     "evaluate_corpus",
     "evaluate_sentence",
     "extract_edits",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import sys
@@ -42,33 +43,29 @@ from .onetarget import (
 )
 from .scorer import evaluate_corpus
 from .scorer import render_report as render_score_report
-from .stats import bucket_stats, overall_stats, render_report as render_stats_report
+from .stats import corpus_stats, render_report as render_stats_report
 
 
-@contextlib.contextmanager
-def _name_errors(path: str) -> Iterator[None]:
-    """Prefix a format error raised in the block with the file it came from.
+def _read(path: str, parse, **options) -> Iterator:
+    """Yield what ``parse(stream, **options)`` reads from ``path``, opened ``"rb"``.
 
     ``ParallelFormatError`` and ``M2FormatError`` give the line only; the
     message becomes ``<path>: line N: ...``.  Every input file is read
-    inside this block, so each input error names its file the same way.
+    through here, so each input error names its file the same way.
     """
-    try:
-        yield
-    except (ParallelFormatError, M2FormatError) as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    with open(path, "rb") as stream:
+        try:
+            yield from parse(stream, **options)
+        except (ParallelFormatError, M2FormatError) as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
-def _read_samples(args) -> list:
-    with open(args.input, "rb") as stream, _name_errors(args.input):
-        return list(parse_parallel(stream, multi_target=args.multi_target_lines))
+def _read_samples(args) -> Iterator:
+    return _read(args.input, parse_parallel, multi_target=args.multi_target_lines)
 
 
 def _read_groups(args) -> list:
-    with open(args.input, "rb") as stream, _name_errors(args.input):
-        groups = group_by_source(
-            parse_parallel(stream, multi_target=args.multi_target_lines)
-        )
+    groups = group_by_source(_read_samples(args))
     if getattr(args, "drop_correct", False):
         groups = filter_groups(groups, drop_correct=True, drop_identity_targets=True)
     return groups
@@ -147,14 +144,7 @@ def _cmd_clean(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    samples = _read_samples(args)
-    overall = overall_stats(samples)
-    # The per-target-count table is defined over erroneous sources only.
-    groups = filter_groups(
-        group_by_source(samples), drop_correct=True, drop_identity_targets=True
-    )
-    text = render_stats_report(overall, bucket_stats(groups), as_json=args.json)
-    _emit(args, text)
+    _emit(args, render_stats_report(*corpus_stats(_read_samples(args)), as_json=args.json))
     return 0
 
 
@@ -182,12 +172,11 @@ def _cmd_to_m2(args) -> int:
 
 def _cmd_apply_m2(args) -> int:
     count = 0
-    with open(args.input, "rb") as stream, _name_errors(args.input):
-        with _atomic_write(args.output) as out:
-            for source, annotations in read_m2_file(stream):
-                for annotation in annotations:
-                    out.write(apply_edits(source, annotation) + "\n")
-                    count += 1
+    with _atomic_write(args.output) as out:
+        for source, annotations in _read(args.input, read_m2_file):
+            for annotation in annotations:
+                out.write(apply_edits(source, annotation) + "\n")
+                count += 1
     _write_meta(args, sentences=count)
     return 0
 
@@ -206,22 +195,30 @@ def _cmd_ablate(args) -> int:
     return 0
 
 
-def _cmd_score(args) -> int:
-    with open(args.hyp, "rb") as stream, _name_errors(args.hyp):
-        hypotheses = [normalize(line) for _, line in read_lines(stream)]
-    with open(args.gold, "rb") as stream, _name_errors(args.gold):
-        gold = list(read_m2_file(stream))
-    if len(gold) != len(hypotheses):
+def _score_entries(args) -> Iterator[tuple[str, str, list]]:
+    """Yield (source, hypothesis, annotations), reading entry k before line k.
+
+    A count mismatch is raised once both files are read, after any format error.
+    """
+    gold = _read(args.gold, read_m2_file)
+    hypotheses = _read(args.hyp, read_lines)
+    entries = lines = 0
+    for entry, numbered in itertools.zip_longest(gold, hypotheses):
+        entries += entry is not None
+        lines += numbered is not None
+        if entries == lines:
+            (source, annotations), (_, line) = entry, numbered
+            yield source, normalize(line), annotations
+    if entries != lines:
         raise ValueError(
-            f"{len(gold)} gold entries but {len(hypotheses)} hypothesis lines"
+            f"{entries} gold entries but {lines} hypothesis lines"
             f" (gold {args.gold}, hypotheses {args.hyp})"
         )
-    report = evaluate_corpus(
-        (source, hypothesis, annotations)
-        for (source, annotations), hypothesis in zip(gold, hypotheses)
-    )
-    text = render_score_report(report, as_json=args.json)
-    _emit(args, text)
+
+
+def _cmd_score(args) -> int:
+    report = evaluate_corpus(_score_entries(args))
+    _emit(args, render_score_report(report, as_json=args.json))
     return 0
 
 

@@ -421,14 +421,14 @@ def _parse_block(lines: list[str], first_line_number: int) -> tuple[str, list[An
     return source, annotations
 
 
-def parse_m2(block: str, first_line_number: int = 1) -> tuple[str, list[Annotation]]:
+def parse_m2(block: str) -> tuple[str, list[Annotation]]:
     """Parse one M2 block; exact inverse of ``to_m2``.
 
     Returns the source sentence and its annotations grouped by annotator in
     order of first appearance.  The S line is trusted as written: it is not
     re-normalized, since edit spans index its characters.
     """
-    return _parse_block(block.rstrip("\n").split("\n"), first_line_number)
+    return _parse_block(block.rstrip("\n").split("\n"), 1)
 
 
 def write_m2_file(blocks: Iterable[str], out: IO[str]) -> int:

@@ -5,9 +5,8 @@ from __future__ import annotations
 import json
 from typing import Iterable, NamedTuple
 
-from .corpus import Sample, SourceGroup
+from .corpus import SourceGroup
 from .edits import extract_edits
-from .textmetrics import levenshtein_ratio
 
 # Groups with this many targets or more share one pooled bucket.
 POOLED_BUCKET_MIN = 8
@@ -63,35 +62,6 @@ class TargetCountBucketStats(NamedTuple):
     mean_edits_per_target: float
 
 
-def overall_stats(samples: Iterable[Sample]) -> CorpusStats:
-    """Single-pass aggregation of the whole-corpus statistics.
-
-    Lengths are counted in characters of the source; the Levenshtein ratio
-    is averaged over every (source, target) pair.  An empty corpus yields
-    an all-zero record.
-    """
-    count = erroneous = 0
-    length_total = 0
-    ratio_total = _CompensatedSum()
-    sources: set[str] = set()
-    for source, target in samples:
-        count += 1
-        if source != target:
-            erroneous += 1
-        length_total += len(source)
-        ratio_total.add(levenshtein_ratio(source, target))
-        sources.add(source)
-    if count == 0:
-        return CorpusStats(0, 0, 0, 0.0, 0.0)
-    return CorpusStats(
-        sample_count=count,
-        erroneous_count=erroneous,
-        unique_source_count=len(sources),
-        mean_source_length=length_total / count,
-        mean_lev_ratio=ratio_total.value / count,
-    )
-
-
 class _BucketAccumulator:
     __slots__ = ("groups", "length_total", "pairs", "ratio", "ratio_sq", "edit_total")
 
@@ -129,10 +99,10 @@ class _BucketAccumulator:
 
 def _pair_values(source: str, target: str) -> tuple[float, int]:
     """The Levenshtein ratio of a pair and its edit count, from one alignment."""
+    if source == target:
+        return 1.0, 0
     edits = extract_edits(source, target).edits
     total = len(source) + len(target)
-    if total == 0:
-        return 1.0, 0
     # A merged edit is a run of s substitutions, d deletions and i
     # insertions: it costs s + d + i, spans s + d source characters and
     # replaces them with s + i.  In a minimum-cost alignment d or i is 0,
@@ -144,33 +114,64 @@ def _pair_values(source: str, target: str) -> tuple[float, int]:
     return (total - distance) / total, len(edits)
 
 
-def bucket_stats(groups: Iterable[SourceGroup]) -> list[TargetCountBucketStats]:
-    """Per-target-count statistics plus a total row.
+def corpus_stats(
+    samples: Iterable[tuple[str, str]],
+) -> tuple[CorpusStats, list[TargetCountBucketStats]]:
+    """The overall table and the per-target-count breakdown, in one pass.
 
-    Callers are expected to pre-filter groups to erroneous sources (see
-    ``corpus.filter_groups``).  Buckets 1..7 are individual, 8 and above
-    pooled; empty buckets are omitted.  Variance is population variance.
+    Each distinct pair is aligned once, on its first line; the overall table
+    counts every line, and the breakdown reads back each source's erroneous
+    targets in first-appearance order, in buckets 1..7 and a pooled >=8.
     """
+    count = erroneous = length_total = 0
+    ratio_total = _CompensatedSum()
+    pairs: dict[str, dict[str, tuple[float, int]]] = {}
+    for source, target in samples:
+        count += 1
+        erroneous += source != target
+        length_total += len(source)
+        targets = pairs.setdefault(source, {})
+        values = targets.get(target)
+        if values is None:
+            values = targets[target] = _pair_values(source, target)
+        ratio_total.add(values[0])
+    divisor = max(count, 1)  # an empty corpus yields an all-zero record
+    overall = CorpusStats(
+        count, erroneous, len(pairs), length_total / divisor, ratio_total.value / divisor
+    )
     labels = [str(n) for n in range(1, POOLED_BUCKET_MIN)] + [_POOLED_LABEL]
     buckets = {label: _BucketAccumulator() for label in labels}
     total = _BucketAccumulator()
-    group_count = 0
-    for group in groups:
-        group_count += 1
-        pair_values = [_pair_values(group.source, target) for target in group.targets]
-        size = len(group.targets)
-        label = str(size) if size < POOLED_BUCKET_MIN else _POOLED_LABEL
-        buckets[label].add(len(group.source), pair_values)
-        total.add(len(group.source), pair_values)
-    if group_count == 0:
-        return []
+    for source, targets in pairs.items():
+        pair_values = [values for target, values in targets.items() if target != source]
+        size = len(pair_values)
+        if size:
+            label = str(size) if size < POOLED_BUCKET_MIN else _POOLED_LABEL
+            buckets[label].add(len(source), pair_values)
+            total.add(len(source), pair_values)
     rows = [
-        buckets[label].row(label, group_count)
+        buckets[label].row(label, total.groups)
         for label in labels
         if buckets[label].groups
     ]
-    rows.append(total.row(TOTAL_LABEL, group_count))
-    return rows
+    if rows:
+        rows.append(total.row(TOTAL_LABEL, total.groups))
+    return overall, rows
+
+
+def overall_stats(samples: Iterable[tuple[str, str]]) -> CorpusStats:
+    """The overall table of ``corpus_stats``, which aligns each distinct pair."""
+    return corpus_stats(samples)[0]
+
+
+def bucket_stats(groups: Iterable[SourceGroup]) -> list[TargetCountBucketStats]:
+    """The breakdown of ``corpus_stats`` over ``group_by_source`` groups.
+
+    Identity targets, and the sources left with none, are dropped here.
+    """
+    return corpus_stats(
+        (group.source, target) for group in groups for target in group.targets
+    )[1]
 
 
 def _format_table(header: list[str], rows: list[list[str]]) -> str:

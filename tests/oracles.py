@@ -20,6 +20,13 @@ parser: the reader joins a block's lines into one string, which the parser
 splits again, and a noop annotator is a ``None`` entry.  They share the
 package's line reader and its S-line and A-line field parsers, so they
 check block structure: line numbers, blank lines, noops and edit order.
+``overall_stats_by_line`` and ``bucket_stats_by_group`` are the two
+statistics passes the package made before ``corpus_stats`` read the
+samples once: a distance per line for the overall table, then one
+alignment per target of pre-filtered groups for the breakdown.  They share
+the package's accumulators, and the breakdown its ``_pair_values``, so they
+check the single pass: line order, duplicates, identity targets, bucket
+order and every float's bit pattern.
 """
 
 from __future__ import annotations
@@ -35,6 +42,16 @@ from gecclean.edits import (
     _decode_s_line,
     _parse_a_line,
 )
+from gecclean.stats import (
+    _POOLED_LABEL,
+    POOLED_BUCKET_MIN,
+    TOTAL_LABEL,
+    CorpusStats,
+    _BucketAccumulator,
+    _CompensatedSum,
+    _pair_values,
+)
+from gecclean.textmetrics import levenshtein_ratio
 
 STEP_PRIORITY = {"match": 0, "substitute": 1, "delete": 2, "insert": 3}
 
@@ -338,3 +355,51 @@ def read_m2_file_by_join(lines):
         block.append(line)
     if block:
         yield parse_m2_by_join("\n".join(block) + "\n", block_start)
+
+
+def overall_stats_by_line(samples) -> CorpusStats:
+    """The overall table, with one ``levenshtein_ratio`` call per line."""
+    count = erroneous = 0
+    length_total = 0
+    ratio_total = _CompensatedSum()
+    sources: set[str] = set()
+    for source, target in samples:
+        count += 1
+        if source != target:
+            erroneous += 1
+        length_total += len(source)
+        ratio_total.add(levenshtein_ratio(source, target))
+        sources.add(source)
+    if count == 0:
+        return CorpusStats(0, 0, 0, 0.0, 0.0)
+    return CorpusStats(
+        sample_count=count,
+        erroneous_count=erroneous,
+        unique_source_count=len(sources),
+        mean_source_length=length_total / count,
+        mean_lev_ratio=ratio_total.value / count,
+    )
+
+
+def bucket_stats_by_group(groups):
+    """The breakdown over groups already filtered to erroneous targets."""
+    labels = [str(n) for n in range(1, POOLED_BUCKET_MIN)] + [_POOLED_LABEL]
+    buckets = {label: _BucketAccumulator() for label in labels}
+    total = _BucketAccumulator()
+    group_count = 0
+    for group in groups:
+        group_count += 1
+        pair_values = [_pair_values(group.source, target) for target in group.targets]
+        size = len(group.targets)
+        label = str(size) if size < POOLED_BUCKET_MIN else _POOLED_LABEL
+        buckets[label].add(len(group.source), pair_values)
+        total.add(len(group.source), pair_values)
+    if group_count == 0:
+        return []
+    rows = [
+        buckets[label].row(label, group_count)
+        for label in labels
+        if buckets[label].groups
+    ]
+    rows.append(total.row(TOTAL_LABEL, group_count))
+    return rows

@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from gecclean import __version__
+from gecclean import __version__, extract_edits, to_m2
 from gecclean.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -489,6 +490,78 @@ class TestFormatErrorsNameTheFile:
         hyp = write(tmp_path / "hyp.txt", "ab\ncd\n")
         assert main(["score", "--gold", str(gold), "--hyp", str(hyp)]) == 1
         assert f"{gold}: line 4: block has no 'A' line" in capsys.readouterr().err
+
+
+class TestScoreReadsInStep:
+    """``score`` reads gold entry k, then hypothesis line k, to the end of both."""
+
+    BLOCK = "S a b\nA 0 1|||R|||c|||REQUIRED|||-NONE-|||0\n"
+    BAD_BLOCK = "S a b\nA 0 1|||X|||c|||REQUIRED|||-NONE-|||0\n"
+
+    def files(self, tmp_path, gold_blocks, hyp: bytes):
+        gold = write(tmp_path / "gold.m2", "\n".join(gold_blocks))
+        hyp_path = tmp_path / "hyp.txt"
+        hyp_path.write_bytes(hyp)
+        return gold, hyp_path
+
+    def score(self, tmp_path, gold_blocks, hyp: bytes, *options):
+        gold, hyp = self.files(tmp_path, gold_blocks, hyp)
+        return gold, hyp, main(["score", "--gold", str(gold), "--hyp", str(hyp), *options])
+
+    def test_holds_one_block_at_a_time(self, tmp_path, capsys):
+        pairs = [(f"第{i}句话有错", f"第{i}句话有错。") for i in range(8000)]
+        blocks = [to_m2(s, [extract_edits(s, t)]) for s, t in pairs]
+        hyp = "".join(t + "\n" for _, t in pairs).encode("utf-8")
+        gold, hyp = self.files(tmp_path, blocks, hyp)
+        tracemalloc.start()
+        try:
+            assert main(["score", "--gold", str(gold), "--hyp", str(hyp), "--json"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert json.loads(capsys.readouterr().out)["f0.5"] == 1.0
+        # Holding every block and hypothesis takes ~4.9 MB here.
+        assert peak < 0.5 * 2**20
+
+    @pytest.mark.parametrize(
+        "bad_block, expected",
+        [(1, "{gold}: line 5: unknown edit kind 'X'"), (2, "{hyp}: line 2: invalid UTF-8: ")],
+        ids=["gold-first", "hyp-first"],
+    )
+    def test_entry_k_is_read_before_line_k(self, tmp_path, capsys, bad_block, expected):
+        blocks = [self.BLOCK] * 3
+        blocks[bad_block] = self.BAD_BLOCK
+        gold, hyp, status = self.score(tmp_path, blocks, b"a c\n\xff\na c\n")
+        assert status == 1
+        assert expected.format(gold=gold, hyp=hyp) in capsys.readouterr().err
+
+    def test_gold_error_past_the_last_hypothesis(self, tmp_path, capsys):
+        blocks = [self.BLOCK, self.BLOCK, self.BAD_BLOCK]
+        gold, _, status = self.score(tmp_path, blocks, b"a c\n")
+        assert status == 1
+        err = capsys.readouterr().err
+        assert f"{gold}: line 8: unknown edit kind 'X'" in err
+        assert "hypothesis lines" not in err
+
+    def test_hypothesis_error_past_the_last_entry(self, tmp_path, capsys):
+        _, hyp, status = self.score(tmp_path, [self.BLOCK], b"a c\na c\n\xff\n")
+        assert status == 1
+        err = capsys.readouterr().err
+        assert f"{hyp}: line 3: invalid UTF-8: " in err
+        assert "gold entries" not in err
+
+    def test_empty_gold_is_a_count_mismatch(self, tmp_path, capsys):
+        gold, hyp, status = self.score(tmp_path, [], b"a c\n")
+        assert status == 1
+        err = capsys.readouterr().err
+        assert f"0 gold entries but 1 hypothesis lines (gold {gold}, hypotheses {hyp})" in err
+
+    def test_mismatch_writes_nothing(self, tmp_path, capsys):
+        report = tmp_path / "report.txt"
+        status = self.score(tmp_path, [self.BLOCK] * 2, b"a c\n", "-o", str(report))[2]
+        assert status == 1
+        assert "2 gold entries but 1 hypothesis lines" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gold.m2", "hyp.txt"]
 
 
 class TestSidecarContent:

@@ -640,8 +640,8 @@ class TestM2Format:
         assert excinfo.value.line_number == 3
 
     def test_block_without_a_line_rejected(self):
-        with pytest.raises(M2FormatError, match="line 7: block has no 'A' line"):
-            parse_m2("S a b\n", first_line_number=7)
+        with pytest.raises(M2FormatError, match="line 1: block has no 'A' line"):
+            parse_m2("S a b\n")
 
     def test_block_without_annotation_rejected_on_write(self):
         with pytest.raises(ValueError, match="needs an annotation"):
@@ -769,13 +769,13 @@ class TestM2File:
         assert m2_outcome(read_m2_file(file_lines)) == m2_outcome(
             read_m2_file_by_join(file_lines)
         )
-        # parse_m2 on each run of non-blank lines, and on the whole file.
-        blocks = [("".join(line + "\n" for line in lines), 1)]
-        for blank, run in itertools.groupby(enumerate(lines, 1), lambda x: not x[1]):
-            run = list(run)
+        # parse_m2 on each run of non-blank lines, and on the whole file;
+        # it numbers a block's lines from 1.
+        blocks = ["".join(line + "\n" for line in lines)]
+        for blank, run in itertools.groupby(lines, lambda line: not line):
             if not blank:
-                blocks.append(("".join(line + "\n" for _, line in run), run[0][0]))
-        for block, start in blocks:
-            assert m2_outcome(map(parse_m2, [block], [start])) == m2_outcome(
-                map(parse_m2_by_join, [block], [start])
+                blocks.append("".join(line + "\n" for line in run))
+        for block in blocks:
+            assert m2_outcome(map(parse_m2, [block])) == m2_outcome(
+                map(parse_m2_by_join, [block])
             )

@@ -1,11 +1,12 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from gecclean import stats
+from gecclean import stats, textmetrics
 from gecclean.corpus import (
     Sample,
     SourceGroup,
@@ -15,11 +16,14 @@ from gecclean.corpus import (
 )
 from gecclean.stats import (
     bucket_stats,
+    corpus_stats,
     overall_stats,
     render_report,
 )
 from gecclean.edits import extract_edits
 from gecclean.textmetrics import levenshtein_distance, levenshtein_ratio
+
+from oracles import bucket_stats_by_group, overall_stats_by_line
 
 DATA = Path(__file__).parent / "data"
 
@@ -130,21 +134,78 @@ class TestRatioFromEdits:
         assert cost == levenshtein_distance(s, t)
         assert stats._pair_values(s, t) == (levenshtein_ratio(s, t), len(edits))
 
-    def test_buckets_align_each_pair_once(self, monkeypatch):
-        calls = []
+    def test_each_distinct_pair_is_aligned_once(self, monkeypatch):
+        calls = {"extract_edits": 0, "levenshtein_distance": 0}
 
-        def counting(s, t):
-            calls.append((s, t))
-            return levenshtein_ratio(s, t)
+        def counting(function):
+            def wrapper(*args, **kwargs):
+                calls[function.__name__] += 1
+                return function(*args, **kwargs)
 
-        monkeypatch.setattr(stats, "levenshtein_ratio", counting)
-        groups = filter_groups(
-            group_by_source(fixture_samples()),
-            drop_correct=True,
-            drop_identity_targets=True,
+            return wrapper
+
+        monkeypatch.setattr(stats, "extract_edits", counting(extract_edits))
+        monkeypatch.setattr(
+            textmetrics, "levenshtein_distance", counting(levenshtein_distance)
         )
-        assert bucket_stats(groups)
-        assert calls == []
+        assert corpus_stats(fixture_samples())[1]
+        # 10 lines: 2 identity pairs and one repeat leave 7 distinct
+        # erroneous pairs, and no distance is taken.
+        assert calls == {"extract_edits": 7, "levenshtein_distance": 0}
+
+
+SENTENCE = st.text(alphabet="ab x我能。", min_size=1, max_size=8)
+
+
+@st.composite
+def corpora(draw):
+    """Samples over a few sources and a pool of up to 12 targets.
+
+    Sources are drawn from the target pool, so identity targets occur,
+    lines repeat, and a source can reach the pooled bucket of 8 or more.
+    """
+    sentences = draw(st.lists(SENTENCE, min_size=1, max_size=12, unique=True))
+    sources = sentences[: draw(st.integers(1, 3))]
+    lines = st.tuples(st.sampled_from(sources), st.sampled_from(sentences))
+    return [Sample(*line) for line in draw(st.lists(lines, max_size=60))]
+
+
+POOLED_CORPUS = [Sample("ab", f"a{i}") for i in range(10)] * 2 + [
+    Sample("ab", "ab"),
+    Sample("x", "x"),
+    Sample("我能", "我"),
+]
+
+
+class TestCorpusStats:
+    """``corpus_stats`` against the two passes it replaced, in ``oracles``."""
+
+    @given(corpora())
+    @example([])
+    @example(POOLED_CORPUS)
+    def test_one_pass_equals_the_two_passes(self, samples):
+        groups = filter_groups(
+            group_by_source(samples), drop_correct=True, drop_identity_targets=True
+        )
+        expected = (overall_stats_by_line(samples), bucket_stats_by_group(groups))
+        assert corpus_stats(samples) == expected
+        assert overall_stats(samples) == expected[0]
+        assert bucket_stats(groups) == expected[1]
+
+    def test_unfiltered_groups_drop_identity_targets(self):
+        groups = group_by_source(POOLED_CORPUS)
+        filtered = filter_groups(groups, drop_correct=True, drop_identity_targets=True)
+        rows = bucket_stats(groups)
+        assert rows == bucket_stats_by_group(filtered)
+        assert [row.bucket for row in rows] == ["1", ">=8", "total"]
+
+    def test_long_identity_pair_is_not_aligned(self):
+        long = "a" * 600
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            overall, rows = corpus_stats([Sample(long, long)])
+        assert overall.mean_lev_ratio == 1.0
+        assert rows == []
 
 
 class TestGoldenReport:

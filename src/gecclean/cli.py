@@ -187,10 +187,11 @@ def _cmd_ablate(args) -> int:
         groups, args.k_min, args.n_values, args.seed, max_groups=args.max_groups
     )
     written = {}
-    for n, samples in datasets.items():
-        path = f"{args.output}.n{n}.tsv"
-        with _atomic_write(path) as out:
-            written[path] = write_parallel(samples, out)
+    # Every dataset is written before the first replaces its path.
+    with contextlib.ExitStack() as stack:
+        for n, samples in datasets.items():
+            path = f"{args.output}.n{n}.tsv"
+            written[path] = write_parallel(samples, stack.enter_context(_atomic_write(path)))
     _write_meta(args, outputs=written)
     return 0
 

@@ -195,7 +195,7 @@ def extract_edits(s: str, t: str, annotator_id: int = 0) -> Annotation:
         while True:
             columns: list[DeltaColumn] = []
             khi = max(0, gap) + p
-            here = bit_vector_columns(core_s, core_t, (min(0, gap) - p, khi), columns)
+            here = bit_vector_columns(core_s, core_t, p, columns)
             if here <= abs(gap) + 2 * p + 1:
                 break
             p = (here - abs(gap)) // 2

@@ -105,22 +105,17 @@ def evaluate_corpus(
 
 def render_report(report: ScoreReport, as_json: bool = False) -> str:
     """ScoreReport as aligned text or JSON."""
+    record = {
+        "tp": report.tp,
+        "fp": report.fp,
+        "fn": report.fn,
+        "precision": report.precision,
+        "recall": report.recall,
+        "f0.5": report.f_half,
+    }
     if as_json:
-        payload = {
-            "tp": report.tp,
-            "fp": report.fp,
-            "fn": report.fn,
-            "precision": report.precision,
-            "recall": report.recall,
-            "f0.5": report.f_half,
-        }
-        return json.dumps(payload, indent=2) + "\n"
-    lines = [
-        f"tp         {report.tp}",
-        f"fp         {report.fp}",
-        f"fn         {report.fn}",
-        f"precision  {report.precision:.4f}",
-        f"recall     {report.recall:.4f}",
-        f"f0.5       {report.f_half:.4f}",
-    ]
-    return "\n".join(lines) + "\n"
+        return json.dumps(record, indent=2) + "\n"
+    return "".join(
+        f"{name:<11}{value:.4f}\n" if isinstance(value, float) else f"{name:<11}{value}\n"
+        for name, value in record.items()
+    )

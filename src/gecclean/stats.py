@@ -174,55 +174,36 @@ def bucket_stats(groups: Iterable[SourceGroup]) -> list[TargetCountBucketStats]:
     )[1]
 
 
-def _format_table(header: list[str], rows: list[list[str]]) -> str:
-    widths = [
-        max(len(header[i]), *(len(row[i]) for row in rows)) if rows else len(header[i])
-        for i in range(len(header))
-    ]
+# One (header, template) per column of each text table; a template formats
+# a record of report_json, so the text shows only what the JSON holds.
+_OVERALL_COLUMNS = (
+    ("samples", "{samples}"),
+    ("erroneous", "{erroneous} ({erroneous_proportion:.2%})"),
+    ("unique_sources", "{unique_sources} ({unique_source_proportion:.2%})"),
+    ("length", "{mean_source_length:.1f}"),
+    ("lev_ratio", "{mean_levenshtein_ratio:.2f}"),
+)
+_BUCKET_COLUMNS = (
+    ("targets", "{targets}"),
+    ("sources", "{sources}"),
+    ("proportion", "{proportion:.2%}"),
+    ("length", "{mean_source_length:.1f}"),
+    ("lev_mean", "{mean_levenshtein_ratio:.2f}"),
+    ("lev_var", "{variance_levenshtein_ratio:.4f}"),
+    ("edits_per_target", "{mean_edits_per_target:.1f}"),
+)
+
+
+def _format_table(columns: tuple[tuple[str, str], ...], records: list[dict]) -> str:
+    """Aligned table: a header row, then one row per record."""
+    rows = [[header for header, _ in columns]]
+    rows += [[template.format_map(record) for _, template in columns] for record in records]
+    widths = [max(len(row[i]) for row in rows) for i in range(len(columns))]
     lines = [
         "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
-        for row in [header] + rows
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def format_overall(stats: CorpusStats) -> str:
-    """Aligned one-row table mirroring the overall-statistics columns."""
-    header = ["samples", "erroneous", "unique_sources", "length", "lev_ratio"]
-    row = [
-        str(stats.sample_count),
-        f"{stats.erroneous_count} ({stats.erroneous_proportion:.2%})",
-        f"{stats.unique_source_count} ({stats.unique_source_proportion:.2%})",
-        f"{stats.mean_source_length:.1f}",
-        f"{stats.mean_lev_ratio:.2f}",
-    ]
-    return _format_table(header, [row])
-
-
-def format_buckets(rows: Iterable[TargetCountBucketStats]) -> str:
-    """Aligned table of the per-target-count breakdown."""
-    header = [
-        "targets",
-        "sources",
-        "proportion",
-        "length",
-        "lev_mean",
-        "lev_var",
-        "edits_per_target",
-    ]
-    body = [
-        [
-            row.bucket,
-            str(row.source_count),
-            f"{row.proportion:.2%}",
-            f"{row.mean_source_length:.1f}",
-            f"{row.mean_lev_ratio:.2f}",
-            f"{row.variance_lev_ratio:.4f}",
-            f"{row.mean_edits_per_target:.1f}",
-        ]
         for row in rows
     ]
-    return _format_table(header, body)
+    return "\n".join(lines) + "\n"
 
 
 def report_json(
@@ -259,6 +240,11 @@ def render_report(
     as_json: bool = False,
 ) -> str:
     """Full statistics report, either human-aligned text or JSON."""
+    record = report_json(overall, buckets)
     if as_json:
-        return json.dumps(report_json(overall, buckets), indent=2, ensure_ascii=False) + "\n"
-    return format_overall(overall) + "\n" + format_buckets(buckets)
+        return json.dumps(record, indent=2, ensure_ascii=False) + "\n"
+    return (
+        _format_table(_OVERALL_COLUMNS, [record["overall"]])
+        + "\n"
+        + _format_table(_BUCKET_COLUMNS, record["by_target_count"])
+    )

@@ -298,6 +298,21 @@ class TestAblate:
             assert path.exists()
             assert len(path.read_text(encoding="utf-8").splitlines()) == 5 * n
 
+    def test_failed_run_replaces_no_dataset(self, tmp_path, capsys):
+        lines = [f"s{i}\tt{i}.{j}" for i in range(5) for j in range(3)]
+        corpus = write(tmp_path / "in.tsv", "\n".join(lines) + "\n")
+        prefix = tmp_path / "out"
+        argv = ["ablate", str(corpus), "-o", str(prefix), "--k-min", "3", "--n-values", "1,2"]
+        assert main(argv) == 0
+        before = {path: path.read_bytes() for path in tmp_path.glob("out*")}
+        # In process, os.getpid() names the temporary file of n2, which
+        # cannot be opened while a directory holds its name.
+        Path(f"{prefix}.n2.tsv.{os.getpid()}.tmp").mkdir()
+        assert main(argv + ["--seed", "7"]) == 1
+        assert "out.n2.tsv" in capsys.readouterr().err
+        after = {path: path.read_bytes() for path in tmp_path.glob("out*") if path.is_file()}
+        assert after == before
+
     def test_n_above_k_min_fails(self, tmp_path, capsys):
         corpus = write(tmp_path / "in.tsv", "s\ta\ns\tb\n")
         code = main(

@@ -1,0 +1,220 @@
+"""The CLI's whole data flow against a model that never calls gecclean.
+
+Hypothesis writes small corpora with LF and CRLF endings, space-padded
+fields, blank and repeated lines, identity targets, multi-target lines, an
+astral character and "e" + U+0301, which NFC composes to "é".  Every
+command runs through ``cli.main``; the model parses, normalizes and groups
+the corpus with the stdlib alone and ranks targets with ``tests/oracles.py``.
+"""
+
+import json
+import math
+import tempfile
+import unicodedata
+from collections import Counter
+from fractions import Fraction
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from gecclean.cli import main
+from oracles import align_full_matrix, levenshtein_distance_dp, merge_path
+
+# Base sentences are NFC; U+00E9 may be written decomposed, U+20000 is astral.
+ALPHABET = "ab我 \U00020000\u00e9"
+
+sentences = st.text(alphabet=ALPHABET, min_size=1, max_size=8).map(str.strip).filter(bool)
+
+
+@st.composite
+def edited(draw, source: str) -> str:
+    """``source`` with one character replaced: edits of one source often tie."""
+    i = draw(st.integers(0, len(source) - 1))
+    replaced = source[:i] + draw(st.sampled_from(ALPHABET)) + source[i + 1 :]
+    return replaced.strip() or source
+
+
+@st.composite
+def written(draw, sentence: str) -> str:
+    """``sentence`` as a corpus field: maybe decomposed, maybe padded."""
+    if draw(st.booleans()):
+        sentence = sentence.replace("\u00e9", "e\u0301")
+    return " " * draw(st.integers(0, 2)) + sentence + " " * draw(st.integers(0, 2))
+
+
+@st.composite
+def corpora(draw) -> tuple[bytes, bool]:
+    multi = draw(st.booleans())
+    pool = draw(st.lists(sentences, min_size=1, max_size=4))
+    lines = []
+    for _ in range(draw(st.integers(1, 10))):
+        if lines and draw(st.integers(0, 2)) == 0:
+            lines.append(draw(st.sampled_from(lines)))  # a repeated line
+            continue
+        if lines and draw(st.integers(0, 9)) == 0:
+            lines.append(" " * draw(st.integers(0, 2)))  # a blank line
+            continue
+        source = draw(st.sampled_from(pool))
+        target = st.one_of(st.just(source), st.sampled_from(pool), edited(source))
+        targets = draw(st.lists(target, min_size=1, max_size=4 if multi else 1))
+        fields = [draw(written(sentence)) for sentence in [source, *targets]]
+        lines.append("\t".join(fields))
+    endings = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines)))
+    text = "".join(line + ending for line, ending in zip(lines, endings))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no line ending after the last line
+    return text.encode("utf-8"), multi
+
+
+def model_samples(data: bytes) -> list[tuple[str, str]]:
+    samples = []
+    for line in data.decode("utf-8").split("\n"):
+        line = line.rstrip("\r")
+        if not line.strip():
+            continue
+        source, *targets = [unicodedata.normalize("NFC", f.strip()) for f in line.split("\t")]
+        samples += [(source, target) for target in targets]
+    return samples
+
+
+def model_groups(samples, drop_correct: bool) -> list[tuple[str, list[str]]]:
+    grouped: dict[str, dict[str, None]] = {}
+    for source, target in samples:
+        grouped.setdefault(source, {})[target] = None
+    groups = []
+    for source, targets in grouped.items():
+        kept = [t for t in targets if not (drop_correct and t == source)]
+        if kept:
+            groups.append((source, kept))
+    return groups
+
+
+def ratio(source: str, target: str) -> Fraction:
+    total = len(source) + len(target)
+    return Fraction(total - levenshtein_distance_dp(source, target), total)
+
+
+def edit_count(source: str, target: str) -> int:
+    return len(merge_path(align_full_matrix(source, target), target))
+
+
+# Each strategy's key, with its best target ranking highest; max() keeps
+# the first of equal keys, so ties go to first appearance.
+KEYS = {
+    "lev_sim": ratio,
+    "edi_least": lambda source, target: -edit_count(source, target),
+}
+
+
+def bucket_label(size: int) -> str:
+    return str(size) if size < 8 else ">=8"
+
+
+def close(a: float, b: float) -> bool:
+    return abs(a - b) <= 1e-12
+
+
+def check_stats(report: dict, samples) -> None:
+    overall = report["overall"]
+    count = len(samples)
+    assert overall["samples"] == count
+    assert overall["erroneous"] == sum(s != t for s, t in samples)
+    assert overall["unique_sources"] == len({s for s, _ in samples})
+    assert close(overall["mean_source_length"], sum(len(s) for s, _ in samples) / count)
+    expected = math.fsum(float(ratio(s, t)) for s, t in samples) / count
+    assert close(overall["mean_levenshtein_ratio"], expected)
+
+    # The breakdown covers erroneous targets only, as --drop-correct keeps.
+    groups = model_groups(samples, drop_correct=True)
+    sizes = Counter(bucket_label(len(targets)) for _, targets in groups)
+    labels = [label for label in [*map(str, range(1, 8)), ">=8"] if sizes[label]]
+    rows = report["by_target_count"]
+    assert [row["targets"] for row in rows] == labels + ["total"] * bool(labels)
+    for row in rows:
+        members = [
+            (source, targets)
+            for source, targets in groups
+            if row["targets"] in ("total", bucket_label(len(targets)))
+        ]
+        assert row["sources"] == len(members)
+        pairs = [(source, target) for source, targets in members for target in targets]
+        ratios = [float(ratio(s, t)) for s, t in pairs]
+        assert close(row["mean_levenshtein_ratio"], math.fsum(ratios) / len(pairs))
+        edits = sum(edit_count(s, t) for s, t in pairs)
+        assert close(row["mean_edits_per_target"], edits / len(pairs))
+
+
+def check_m2_blocks(text: str, groups) -> None:
+    blocks = text.split("\n\n") if text else []
+    assert len(blocks) == len(groups)
+    for block, (source, targets) in zip(blocks, groups):
+        s_line, *a_lines = block.rstrip("\n").split("\n")
+        assert s_line == "S " + " ".join(source)
+        ids = [int(line.rsplit("|||", 1)[1]) for line in a_lines]
+        assert ids == sorted(ids)
+        assert list(dict.fromkeys(ids)) == list(range(len(targets)))
+
+
+# Output name suffixes: without and with --drop-correct.
+DROPS = ("", ".drop")
+
+
+def run_commands(work: Path, multi: bool) -> None:
+    corpus = str(work / "in.tsv")
+    layout = ["--multi-target-lines"] if multi else []
+    for drop in DROPS:
+        options = layout + ["--drop-correct"] * bool(drop)
+        for strategy in KEYS:
+            output = str(work / f"{strategy}{drop}.tsv")
+            assert main(["clean", corpus, "-o", output, "--strategy", strategy] + options) == 0
+        m2 = str(work / f"gold{drop}.m2")
+        assert main(["to-m2", corpus, "-o", m2] + options) == 0
+        assert main(["apply-m2", m2, "-o", str(work / f"applied{drop}.txt")]) == 0
+    assert main(["stats", corpus, "--json", "-o", str(work / "stats.json")] + layout) == 0
+    gold, hyp = str(work / "gold.m2"), str(work / "hyp.txt")
+    argv = ["score", "--gold", gold, "--hyp", hyp, "--json", "-o", str(work / "score.json")]
+    assert main(argv) == 0
+
+
+def snapshot(work: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(work.iterdir())}
+
+
+@given(corpora())
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_cli_matches_model(corpus):
+    data, multi = corpus
+    samples = model_samples(data)
+    with tempfile.TemporaryDirectory() as directory:
+        work = Path(directory)
+        (work / "in.tsv").write_bytes(data)
+        groups = model_groups(samples, drop_correct=False)
+        # Hypotheses for score: each source's first target.
+        hypotheses = "".join(targets[0] + "\n" for _, targets in groups)
+        (work / "hyp.txt").write_bytes(hypotheses.encode("utf-8"))
+        run_commands(work, multi)
+
+        def read(name: str) -> str:
+            return (work / name).read_bytes().decode("utf-8")
+
+        for drop in DROPS:
+            kept = model_groups(samples, bool(drop))
+            for strategy, key in KEYS.items():
+                expected = "".join(
+                    f"{source}\t{max(targets, key=lambda t: key(source, t))}\n"
+                    for source, targets in kept
+                )
+                assert read(f"{strategy}{drop}.tsv") == expected
+            check_m2_blocks(read(f"gold{drop}.m2"), kept)
+            expected = "".join(t + "\n" for _, targets in kept for t in targets)
+            assert read(f"applied{drop}.txt") == expected
+
+        check_stats(json.loads(read("stats.json")), samples)
+
+        score = json.loads(read("score.json"))
+        assert score["fp"] == score["fn"] == 0
+        assert score["tp"] == sum(edit_count(s, targets[0]) for s, targets in groups)
+
+        before = snapshot(work)
+        run_commands(work, multi)
+        assert snapshot(work) == before

@@ -406,7 +406,7 @@ class TestBandedAlignMatchesFullMatrix:
         calls = record_passes(monkeypatch)
         path, peak = traced_align(source, target)
         p = edits._FIRST_BAND
-        assert calls == [(6000, 6000, (-p, p))]
+        assert calls == [(6000, 6000, p)]
         assert peak < 4_000_000
         assert extract_edits(source, target).edits == (
             Edit(0, 1, "X"),
@@ -460,13 +460,13 @@ BAND_PAIRS = _band_pairs()
 
 
 def record_passes(monkeypatch):
-    """Record (len(s), len(t), band) of each bit-vector pass."""
+    """Record (len(s), len(t), p) of each bit-vector pass."""
     calls = []
     run = edits.bit_vector_columns
 
-    def recording(s, t, band, columns):
-        calls.append((len(s), len(t), band))
-        return run(s, t, band, columns)
+    def recording(s, t, p, columns):
+        calls.append((len(s), len(t), p))
+        return run(s, t, p, columns)
 
     monkeypatch.setattr(edits, "bit_vector_columns", recording)
     return calls
@@ -487,7 +487,7 @@ class TestBandFilledOnce:
         d = sum(step != "match" for step in path)
         gap = len(t) - len(s)
         p = edits._FIRST_BAND
-        assert calls[0][2] == (min(0, gap) - p, max(0, gap) + p)
+        assert calls[0][2] == p
         assert len(calls) == (1 if d <= abs(gap) + 2 * p + 1 else 2)
 
 

@@ -144,8 +144,7 @@ class TestBandedPass:
     def test_band_value(self, s, t, p):
         d = levenshtein_distance_dp(s, t)
         gap = len(t) - len(s)
-        band = (min(0, gap) - p, max(0, gap) + p)
-        value = bit_vector_columns(s, t, band, [])
+        value = bit_vector_columns(s, t, p, [])
         assert value >= d
         # A path that leaves the band costs at least |gap| + 2p + 2.
         if p >= (d - abs(gap)) // 2 or value <= abs(gap) + 2 * p + 1:
@@ -153,8 +152,7 @@ class TestBandedPass:
         else:
             # value counts a path inside band p + 1, so it certifies a band.
             wider = (value - abs(gap)) // 2
-            band = (min(0, gap) - wider, max(0, gap) + wider)
-            assert bit_vector_columns(s, t, band) == d
+            assert bit_vector_columns(s, t, wider) == d
 
     @given(edited_pairs(WIDE_ALPHABET, 300))
     @settings(max_examples=100, deadline=None)
@@ -166,7 +164,7 @@ class TestBandedPass:
         gap = len(t) - len(s)
         p = (d - abs(gap)) // 2
         columns = []
-        assert bit_vector_columns(s, t, (min(0, gap) - p, max(0, gap) + p), columns) == d
+        assert bit_vector_columns(s, t, p, columns) == d
         assert len(columns) == len(t)
 
 

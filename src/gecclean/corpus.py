@@ -63,7 +63,9 @@ def read_lines(lines: Iterable[str | bytes]) -> Iterator[tuple[int, str]]:
     Bytes are decoded as UTF-8, and the line ending is dropped: every
     trailing "\r" and "\n", so LF and CRLF read alike.  A "\r" inside a
     line is data; iterate a binary stream, which splits at "\n" only, to
-    keep it there.  Invalid UTF-8 raises ``ParallelFormatError``.
+    keep it there.  A byte-order mark (U+FEFF) that starts line 1 is
+    dropped, as the ``utf-8-sig`` codec drops it.  Invalid UTF-8 raises
+    ``ParallelFormatError``.
     """
     for number, raw in enumerate(lines, 1):
         if isinstance(raw, bytes):
@@ -71,6 +73,8 @@ def read_lines(lines: Iterable[str | bytes]) -> Iterator[tuple[int, str]]:
                 raw = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise ParallelFormatError(number, f"invalid UTF-8: {exc}") from exc
+        if number == 1 and raw.startswith("\ufeff"):
+            raw = raw[1:]
         yield number, raw.rstrip("\r\n")
 
 

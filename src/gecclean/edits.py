@@ -17,7 +17,8 @@ followed by one ``A`` line per edit:
 An annotator that proposes no change is recorded with the conventional noop
 line ``A -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||<annotator>``.  As in
 every M2 dialect, ``-NONE-`` and ``|||`` are in-band markers, so a
-replacement must not collide with them; serialization rejects such edits.
+replacement must not collide with them: serialization rejects a replacement
+that is ``-NONE-``, holds ``|||`` or ends in ``|``.
 """
 
 from __future__ import annotations
@@ -302,13 +303,14 @@ def to_m2(source: str, annotations: Sequence[Annotation]) -> str:
                 raise ValueError(
                     f"edit {edit} out of bounds for a {len(source)}-token source"
                 )
-            if "|||" in edit.replacement or edit.replacement == _NONE_FIELD:
-                raise ValueError(
-                    f"replacement {edit.replacement!r} collides with M2 markers"
-                )
+            # The reader splits at the leftmost "|||", so a trailing "|"
+            # would move the field's end as surely as a "|||" inside it.
+            text = edit.replacement
+            if text == _NONE_FIELD or "|||" in text or text.endswith("|"):
+                raise ValueError(f"replacement {text!r} collides with M2 markers")
             lines.append(
                 f"A {edit.start} {edit.end}|||{edit.kind}|||"
-                f"{edit.replacement or _NONE_FIELD}|||REQUIRED|||{_NONE_FIELD}|||"
+                f"{text or _NONE_FIELD}|||REQUIRED|||{_NONE_FIELD}|||"
                 f"{annotation.annotator_id}"
             )
     return "\n".join(lines) + "\n"

@@ -105,10 +105,7 @@ def evaluate_corpus(
 
 def render_report(report: ScoreReport, as_json: bool = False) -> str:
     """ScoreReport as aligned text or JSON."""
-    record = {
-        "tp": report.tp,
-        "fp": report.fp,
-        "fn": report.fn,
+    record = report._asdict() | {
         "precision": report.precision,
         "recall": report.recall,
         "f0.5": report.f_half,

@@ -31,34 +31,32 @@ class _CompensatedSum:
 
 
 class CorpusStats(NamedTuple):
-    """Whole-corpus statistics over samples (line-level, duplicates kept)."""
+    """Whole-corpus statistics over samples (line-level, duplicates kept).
 
-    sample_count: int
-    erroneous_count: int
-    unique_source_count: int
+    The fields are the keys of the report's ``overall`` object.
+    """
+
+    samples: int
+    erroneous: int
+    erroneous_proportion: float
+    unique_sources: int
+    unique_source_proportion: float
     mean_source_length: float
-    mean_lev_ratio: float
-
-    @property
-    def erroneous_proportion(self) -> float:
-        return self.erroneous_count / self.sample_count if self.sample_count else 0.0
-
-    @property
-    def unique_source_proportion(self) -> float:
-        return (
-            self.unique_source_count / self.sample_count if self.sample_count else 0.0
-        )
+    mean_levenshtein_ratio: float
 
 
 class TargetCountBucketStats(NamedTuple):
-    """Statistics for groups bucketed by their number of targets."""
+    """Statistics for groups bucketed by their number of targets.
 
-    bucket: str
-    source_count: int
+    The fields are the keys of a ``by_target_count`` row of the report.
+    """
+
+    targets: str
+    sources: int
     proportion: float
     mean_source_length: float
-    mean_lev_ratio: float
-    variance_lev_ratio: float
+    mean_levenshtein_ratio: float
+    variance_levenshtein_ratio: float
     mean_edits_per_target: float
 
 
@@ -87,12 +85,12 @@ class _BucketAccumulator:
         # Population variance via E[x^2] - E[x]^2, clamped against rounding.
         variance = max(self.ratio_sq.value / self.pairs - mean_ratio * mean_ratio, 0.0)
         return TargetCountBucketStats(
-            bucket=label,
-            source_count=self.groups,
+            targets=label,
+            sources=self.groups,
             proportion=self.groups / total_groups,
             mean_source_length=self.length_total / self.groups,
-            mean_lev_ratio=mean_ratio,
-            variance_lev_ratio=variance,
+            mean_levenshtein_ratio=mean_ratio,
+            variance_levenshtein_ratio=variance,
             mean_edits_per_target=self.edit_total / self.pairs,
         )
 
@@ -137,7 +135,13 @@ def corpus_stats(
         ratio_total.add(values[0])
     divisor = max(count, 1)  # an empty corpus yields an all-zero record
     overall = CorpusStats(
-        count, erroneous, len(pairs), length_total / divisor, ratio_total.value / divisor
+        samples=count,
+        erroneous=erroneous,
+        erroneous_proportion=erroneous / divisor,
+        unique_sources=len(pairs),
+        unique_source_proportion=len(pairs) / divisor,
+        mean_source_length=length_total / divisor,
+        mean_levenshtein_ratio=ratio_total.value / divisor,
     )
     labels = [str(n) for n in range(1, POOLED_BUCKET_MIN)] + [_POOLED_LABEL]
     buckets = {label: _BucketAccumulator() for label in labels}
@@ -175,7 +179,8 @@ def bucket_stats(groups: Iterable[SourceGroup]) -> list[TargetCountBucketStats]:
 
 
 # One (header, template) per column of each text table; a template formats
-# a record of report_json, so the text shows only what the JSON holds.
+# a record's fields, which are the JSON report's keys, so the text shows
+# only what the JSON holds.
 _OVERALL_COLUMNS = (
     ("samples", "{samples}"),
     ("erroneous", "{erroneous} ({erroneous_proportion:.2%})"),
@@ -206,41 +211,16 @@ def _format_table(columns: tuple[tuple[str, str], ...], records: list[dict]) -> 
     return "\n".join(lines) + "\n"
 
 
-def report_json(
-    overall: CorpusStats, buckets: Iterable[TargetCountBucketStats]
-) -> dict:
-    return {
-        "overall": {
-            "samples": overall.sample_count,
-            "erroneous": overall.erroneous_count,
-            "erroneous_proportion": overall.erroneous_proportion,
-            "unique_sources": overall.unique_source_count,
-            "unique_source_proportion": overall.unique_source_proportion,
-            "mean_source_length": overall.mean_source_length,
-            "mean_levenshtein_ratio": overall.mean_lev_ratio,
-        },
-        "by_target_count": [
-            {
-                "targets": row.bucket,
-                "sources": row.source_count,
-                "proportion": row.proportion,
-                "mean_source_length": row.mean_source_length,
-                "mean_levenshtein_ratio": row.mean_lev_ratio,
-                "variance_levenshtein_ratio": row.variance_lev_ratio,
-                "mean_edits_per_target": row.mean_edits_per_target,
-            }
-            for row in buckets
-        ],
-    }
-
-
 def render_report(
     overall: CorpusStats,
     buckets: list[TargetCountBucketStats],
     as_json: bool = False,
 ) -> str:
     """Full statistics report, either human-aligned text or JSON."""
-    record = report_json(overall, buckets)
+    record = {
+        "overall": overall._asdict(),
+        "by_target_count": [row._asdict() for row in buckets],
+    }
     if as_json:
         return json.dumps(record, indent=2, ensure_ascii=False) + "\n"
     return (

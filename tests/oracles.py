@@ -371,13 +371,15 @@ def overall_stats_by_line(samples) -> CorpusStats:
         ratio_total.add(levenshtein_ratio(source, target))
         sources.add(source)
     if count == 0:
-        return CorpusStats(0, 0, 0, 0.0, 0.0)
+        return CorpusStats(0, 0, 0.0, 0, 0.0, 0.0, 0.0)
     return CorpusStats(
-        sample_count=count,
-        erroneous_count=erroneous,
-        unique_source_count=len(sources),
+        samples=count,
+        erroneous=erroneous,
+        erroneous_proportion=erroneous / count,
+        unique_sources=len(sources),
+        unique_source_proportion=len(sources) / count,
         mean_source_length=length_total / count,
-        mean_lev_ratio=ratio_total.value / count,
+        mean_levenshtein_ratio=ratio_total.value / count,
     )
 
 

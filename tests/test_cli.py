@@ -208,11 +208,14 @@ class TestM2Pipeline:
         assert (tmp_path / "gold.m2.meta.json").read_bytes() == sidecar
         assert sorted(tmp_path.iterdir()) == sorted(before + [bad])
 
-    @pytest.mark.parametrize("target", ["x|||z", "-NONE-"])
+    # A trailing "|" collides too: read at the leftmost "|||", the field
+    # "x|" and its end "|||REQUIRED" would split as "x", "|REQUIRED".
+    @pytest.mark.parametrize("target", ["x|||z", "-NONE-", "xy|"])
     def test_marker_collision_names_file_and_source(self, tmp_path, capsys, target):
         good = write(tmp_path / "ok.tsv", TWO_GROUP_TSV)
         gold = tmp_path / "gold.m2"
         assert main(["to-m2", str(good), "-o", str(gold)]) == 0
+        before = sorted(tmp_path.iterdir())
         output = gold.read_bytes()
         bad = write(tmp_path / "bad.tsv", f"abcd\tabce\nxyz\t{target}\n")
         assert main(["to-m2", str(bad), "-o", str(gold)]) == 1
@@ -220,6 +223,7 @@ class TestM2Pipeline:
         assert f"error: {bad}: source starting 'xyz': replacement " in err
         assert "collides with M2 markers" in err
         assert gold.read_bytes() == output
+        assert sorted(tmp_path.iterdir()) == sorted(before + [bad])
 
     def test_long_pair_warning_printed_once(self, tmp_path):
         lines = [f"{i}{'a' * 600}\t{i}{'a' * 600}b" for i in range(5)]
@@ -436,6 +440,9 @@ class TestThreadCap:
         assert f"argument {argv[-2]}: expected an integer, got 'abc'" in capsys.readouterr().err
 
 
+CONTROL_IN_REPLACEMENT = "edit replacement may not contain tab or newline"
+
+
 class TestFormatErrorsNameTheFile:
     @pytest.mark.parametrize(
         "argv",
@@ -481,6 +488,22 @@ class TestFormatErrorsNameTheFile:
         assert main(["apply-m2", str(gold), "-o", str(tmp_path / "out.txt")]) == 1
         assert f"{gold}: line 3: {message}\n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "a_line, message",
+        [
+            ("A 0 1|||R|||x|||REQUIRED|||-NONE-|||-1", "negative annotator id -1"),
+            ("A 0 1|||noop|||-NONE-|||REQUIRED|||-NONE-|||0", "malformed noop line"),
+            ("A 0 1|||R|||x\ty|||REQUIRED|||-NONE-|||0", CONTROL_IN_REPLACEMENT),
+            ("A 0 1|||R|||x\ry|||REQUIRED|||-NONE-|||0", CONTROL_IN_REPLACEMENT),
+        ],
+        ids=["negative-annotator", "malformed-noop", "tab", "lone-cr"],
+    )
+    def test_apply_m2_a_line(self, tmp_path, capsys, a_line, message):
+        gold = tmp_path / "gold.m2"
+        gold.write_bytes(f"S a b\n{a_line}\n".encode("utf-8"))
+        assert main(["apply-m2", str(gold), "-o", str(tmp_path / "out.txt")]) == 1
+        assert f"{gold}: line 2: {message}\n" in capsys.readouterr().err
+
     def test_score_names_gold_not_hypothesis(self, tmp_path, capsys):
         gold = write(tmp_path / "gold.m2", "S a b\nA 0 1|||X|||b|||REQUIRED|||-NONE-|||0\n")
         hyp = write(tmp_path / "hyp.txt", "b b\n")
@@ -505,6 +528,42 @@ class TestFormatErrorsNameTheFile:
         hyp = write(tmp_path / "hyp.txt", "ab\ncd\n")
         assert main(["score", "--gold", str(gold), "--hyp", str(hyp)]) == 1
         assert f"{gold}: line 4: block has no 'A' line" in capsys.readouterr().err
+
+
+class TestByteOrderMark:
+    """Every input may start with a UTF-8 byte-order mark, which is not text."""
+
+    INPUTS = {
+        "tsv": "ab\tac\nab\tad\n",
+        "m2": (
+            "S a b\nA 1 2|||R|||c|||REQUIRED|||-NONE-|||0\n"
+            "A 1 2|||R|||d|||REQUIRED|||-NONE-|||1\n"
+        ),
+        "hyp": "ac\n",
+    }
+
+    def run(self, work: Path, argv, bom: bytes, capsys) -> tuple[str, bytes]:
+        work.mkdir()
+        paths = {name: work / name for name in self.INPUTS}
+        for name, text in self.INPUTS.items():
+            paths[name].write_bytes(bom + text.encode("utf-8"))
+        out = work / "out"
+        assert main([arg.format(out=out, **paths) for arg in argv]) == 0
+        return capsys.readouterr().out, out.read_bytes() if out.exists() else b""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stats", "{tsv}", "--multi-target-lines", "--json"],
+            ["clean", "{tsv}", "-o", "{out}", "--strategy", "lev_dis"],
+            ["apply-m2", "{m2}", "-o", "{out}"],
+            ["score", "--gold", "{m2}", "--hyp", "{hyp}", "--json"],
+        ],
+        ids=["stats", "clean", "apply-m2", "score"],
+    )
+    def test_same_outputs_as_without_one(self, tmp_path, capsys, argv):
+        plain = self.run(tmp_path / "plain", argv, b"", capsys)
+        assert self.run(tmp_path / "bom", argv, b"\xef\xbb\xbf", capsys) == plain
 
 
 class TestScoreReadsInStep:

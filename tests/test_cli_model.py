@@ -7,8 +7,10 @@ command runs through ``cli.main``; the model parses, normalizes and groups
 the corpus with the stdlib alone and ranks targets with ``tests/oracles.py``.
 """
 
+import errno
 import json
 import math
+import os
 import tempfile
 import unicodedata
 from collections import Counter
@@ -89,6 +91,16 @@ def model_groups(samples, drop_correct: bool) -> list[tuple[str, list[str]]]:
     return groups
 
 
+def lines_by_source(data: bytes) -> dict[str, list[str]]:
+    """Each source's non-blank lines, as written, in first-appearance order."""
+    lines: dict[str, list[str]] = {}
+    for line in data.decode("utf-8").split("\n"):
+        if line.strip():
+            source = unicodedata.normalize("NFC", line.split("\t")[0].strip())
+            lines.setdefault(source, []).append(line)
+    return lines
+
+
 def ratio(source: str, target: str) -> Fraction:
     total = len(source) + len(target)
     return Fraction(total - levenshtein_distance_dp(source, target), total)
@@ -104,6 +116,14 @@ KEYS = {
     "lev_sim": ratio,
     "edi_least": lambda source, target: -edit_count(source, target),
 }
+
+
+def model_clean(groups, key) -> str:
+    """The ``clean`` output that keeps each group's highest-``key`` target."""
+    return "".join(
+        f"{source}\t{max(targets, key=lambda t: key(source, t))}\n"
+        for source, targets in groups
+    )
 
 
 def bucket_label(size: int) -> str:
@@ -200,11 +220,7 @@ def test_cli_matches_model(corpus):
         for drop in DROPS:
             kept = model_groups(samples, bool(drop))
             for strategy, key in KEYS.items():
-                expected = "".join(
-                    f"{source}\t{max(targets, key=lambda t: key(source, t))}\n"
-                    for source, targets in kept
-                )
-                assert read(f"{strategy}{drop}.tsv") == expected
+                assert read(f"{strategy}{drop}.tsv") == model_clean(kept, key)
             check_m2_blocks(read(f"gold{drop}.m2"), kept)
             expected = "".join(t + "\n" for _, targets in kept for t in targets)
             assert read(f"applied{drop}.txt") == expected
@@ -218,3 +234,69 @@ def test_cli_matches_model(corpus):
         before = snapshot(work)
         run_commands(work, multi)
         assert snapshot(work) == before
+
+
+def read_pairs(path: Path) -> dict[str, str]:
+    lines = path.read_bytes().decode("utf-8").split("\n")[:-1]
+    return dict(line.split("\t") for line in lines)
+
+
+@given(corpora(), st.integers(0, 2**64 - 1), st.booleans(), st.data())
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_random_pick_ignores_other_sources(corpus, seed, drop, data):
+    """``random`` keeps one of a source's targets, whatever other lines the
+    corpus holds and in whatever order, so long as the source's own lines
+    keep theirs."""
+    text, multi = corpus
+    lines = lines_by_source(text)
+    sources = data.draw(st.permutations(list(lines)))
+    sources = sources[: data.draw(st.integers(1, len(sources)))]
+    subset = "".join(line + "\n" for source in sources for line in lines[source])
+    options = ["--strategy", "random", "--seed", str(seed)]
+    options += ["--multi-target-lines"] * multi + ["--drop-correct"] * drop
+    with tempfile.TemporaryDirectory() as directory:
+        work = Path(directory)
+        picks = []
+        for name, content in (("all", text), ("some", subset.encode("utf-8"))):
+            (work / f"{name}.tsv").write_bytes(content)
+            argv = ["clean", str(work / f"{name}.tsv"), "-o", str(work / f"{name}.out")]
+            assert main(argv + options) == 0
+            picks.append(read_pairs(work / f"{name}.out"))
+    everything, some = picks
+    groups = model_groups(model_samples(text), drop)
+    assert list(everything) == [source for source, _ in groups]
+    for source, targets in groups:
+        assert everything[source] in targets
+    assert some == {source: everything[source] for source in sources if source in everything}
+    assert list(some) == [source for source in sources if source in everything]
+
+
+def test_failed_sidecar_rename_leaves_a_complete_output(tmp_path, monkeypatch):
+    """A rerun whose sidecar rename fails exits 1 and leaves no temporary
+    file, and the output is one of the two complete outputs.
+
+    It is the new one, beside the old sidecar: a sidecar does not yet pin
+    its output's bytes.
+    """
+    text = b"abcdef\txbcdey\tabc\n"
+    corpus = tmp_path / "in.tsv"
+    corpus.write_bytes(text)
+    groups = model_groups(model_samples(text), drop_correct=False)
+    complete = {model_clean(groups, key) for key in KEYS.values()}
+    assert len(complete) == 2  # lev_sim keeps "xbcdey", edi_least keeps "abc"
+    out = tmp_path / "out.tsv"
+    argv = ["clean", str(corpus), "-o", str(out), "--multi-target-lines", "--strategy"]
+    assert main(argv + ["lev_sim"]) == 0
+    replace = os.replace
+
+    def failing_replace(src, dst):
+        if str(dst).endswith(".meta.json"):
+            raise OSError(errno.EIO, "injected failure")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    assert main(argv + ["edi_least"]) == 1
+    assert not list(tmp_path.glob("*.tmp"))
+    assert out.read_bytes().decode("utf-8") in complete
+    sidecar = json.loads((tmp_path / "out.tsv.meta.json").read_text(encoding="utf-8"))
+    assert sidecar["config"]["strategy"] in KEYS

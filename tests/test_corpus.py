@@ -12,6 +12,7 @@ from gecclean.corpus import (
     group_by_source,
     normalize,
     parse_parallel,
+    read_lines,
     write_parallel,
 )
 
@@ -87,6 +88,12 @@ class TestParseParallel:
 
     def test_crlf_endings(self):
         assert list(parse_parallel([b"a\tb\r\n"])) == [Sample("a", "b")]
+
+    @pytest.mark.parametrize("encode", [str, lambda line: line.encode("utf-8")])
+    def test_byte_order_mark_dropped_from_line_one_only(self, encode):
+        # As the utf-8-sig codec reads it: a U+FEFF that starts the input.
+        lines = [encode("\ufeffab\n"), encode("\ufeffcd\n")]
+        assert list(read_lines(lines)) == [(1, "ab"), (2, "\ufeffcd")]
 
     def test_fields_are_normalized(self):
         assert list(parse_parallel([" a \tb́x\n"])) == [

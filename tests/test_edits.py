@@ -5,7 +5,7 @@ import tracemalloc
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gecclean import edits
 from gecclean.corpus import ParallelFormatError
@@ -41,6 +41,11 @@ TABLE_BLOCK = (
 )
 
 mixed_text = st.text(alphabet="ab我能。x", max_size=10)
+
+# Text built from the pieces of M2's in-band markers.
+marker_text = st.lists(
+    st.sampled_from(["a", "b", " ", "|", "||", "-", "NONE", "-NONE-"]), max_size=6
+).map("".join)
 
 # Mixed ASCII/CJK with punctuation and space, for pairs up to ~300 characters.
 WIDE_ALPHABET = "abcxyz我能胜任这此职务不是很好。，! "
@@ -695,6 +700,25 @@ class TestM2Format:
     def test_marker_collision_rejected_on_write(self):
         with pytest.raises(ValueError, match="collides"):
             to_m2("abcdef", [Annotation((Edit(0, 6, "-NONE-"),), 0)])
+
+    def test_edit_out_of_bounds_rejected_on_write(self):
+        with pytest.raises(ValueError, match="out of bounds for a 2-token source"):
+            to_m2("ab", [Annotation((Edit(1, 3, "x"),), 0)])
+
+    @given(marker_text, st.lists(marker_text, min_size=1, max_size=3))
+    @example("ab", ["ax|"])
+    @settings(max_examples=300)
+    def test_every_written_block_reads_back(self, source, targets):
+        annotations = [
+            extract_edits(source, target, annotator_id=i)
+            for i, target in enumerate(targets)
+        ]
+        try:
+            block = to_m2(source, annotations)
+        except ValueError as exc:
+            assert "collides with M2 markers" in str(exc)
+            return
+        assert parse_m2(block) == (source, annotations)
 
     @given(mixed_text, st.lists(st.text(alphabet="ab我 x。", max_size=8), min_size=1, max_size=4))
     @settings(max_examples=200)

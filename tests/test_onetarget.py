@@ -197,6 +197,15 @@ class TestBuildAblation:
         with pytest.raises(ValueError, match="k_min"):
             build_ablation(self.groups(), k_min=2, n_values={3}, seed=1)
 
+    def test_empty_n_values_rejected(self):
+        with pytest.raises(ValueError, match="n_values must not be empty"):
+            build_ablation(self.groups(), k_min=2, n_values=[], seed=1)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_non_positive_n_rejected(self, n):
+        with pytest.raises(ValueError, match=f"must be positive, got {n}"):
+            build_ablation(self.groups(), k_min=2, n_values={n, 1}, seed=1)
+
     def test_max_groups_subsamples_deterministically(self):
         groups = self.groups(10, 3)
         first = build_ablation(groups, k_min=3, n_values={1}, seed=5, max_groups=4)

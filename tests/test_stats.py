@@ -36,38 +36,38 @@ def fixture_samples():
 class TestOverallStats:
     def test_empty_corpus_is_all_zero(self):
         stats = overall_stats([])
-        assert stats.sample_count == 0
+        assert stats.samples == 0
         assert stats.erroneous_proportion == 0.0
         assert stats.unique_source_proportion == 0.0
 
     def test_two_sample_hand_count(self):
         stats = overall_stats([Sample("a", "a"), Sample("a", "b")])
-        assert stats.sample_count == 2
-        assert stats.erroneous_count == 1
+        assert stats.samples == 2
+        assert stats.erroneous == 1
         assert stats.erroneous_proportion == 0.5
-        assert stats.unique_source_count == 1
+        assert stats.unique_sources == 1
         assert stats.unique_source_proportion == 0.5
 
     def test_fixture_values(self):
         stats = overall_stats(fixture_samples())
-        assert stats.sample_count == 10
-        assert stats.erroneous_count == 8
-        assert stats.unique_source_count == 6
+        assert stats.samples == 10
+        assert stats.erroneous == 8
+        assert stats.unique_sources == 6
         assert stats.mean_source_length == pytest.approx(4.0, abs=1e-12)
-        assert stats.mean_lev_ratio == pytest.approx(0.86, abs=1e-9)
+        assert stats.mean_levenshtein_ratio == pytest.approx(0.86, abs=1e-9)
 
 
 class TestBucketStats:
     def test_all_singletons_fill_one_bucket(self):
         groups = [SourceGroup(f"s{i}", (f"t{i}",)) for i in range(4)]
         rows = bucket_stats(groups)
-        assert [r.bucket for r in rows] == ["1", "total"]
+        assert [r.targets for r in rows] == ["1", "total"]
         assert rows[0].proportion == 1.0
 
     def test_nine_targets_pool_into_top_bucket(self):
         group = SourceGroup("s", tuple(f"t{i}" for i in range(9)))
         rows = bucket_stats([group])
-        assert rows[0].bucket == ">=8"
+        assert rows[0].targets == ">=8"
 
     def test_hand_counted_distribution(self):
         groups = (
@@ -75,10 +75,10 @@ class TestBucketStats:
             + [SourceGroup(f"b{i}", ("x", "y")) for i in range(2)]
             + [SourceGroup("c", ("x", "y", "z"))]
         )
-        rows = {r.bucket: r for r in bucket_stats(groups)}
-        assert rows["1"].source_count == 3
-        assert rows["2"].source_count == 2
-        assert rows["3"].source_count == 1
+        rows = {r.targets: r for r in bucket_stats(groups)}
+        assert rows["1"].sources == 3
+        assert rows["2"].sources == 2
+        assert rows["3"].sources == 1
         assert rows["1"].proportion == pytest.approx(0.5)
         assert rows["2"].proportion == pytest.approx(1 / 3)
         assert rows["3"].proportion == pytest.approx(1 / 6)
@@ -89,33 +89,33 @@ class TestBucketStats:
             for i in range(40)
         ]
         rows = bucket_stats(groups)
-        non_total = [r for r in rows if r.bucket != "total"]
+        non_total = [r for r in rows if r.targets != "total"]
         assert sum(r.proportion for r in non_total) == pytest.approx(1.0, abs=1e-9)
-        assert sum(r.source_count for r in non_total) == len(groups)
+        assert sum(r.sources for r in non_total) == len(groups)
 
     def test_variance_matches_two_pass_definition(self):
         groups = [
             SourceGroup("aaaa", ("aaab", "ab", "aaaa_x")),
             SourceGroup("bbbb", ("bb", "bbbbc", "xbbb")),
         ]
-        rows = {r.bucket: r for r in bucket_stats(groups)}
+        rows = {r.targets: r for r in bucket_stats(groups)}
         ratios = [
             levenshtein_ratio(g.source, t) for g in groups for t in g.targets
         ]
         mean = sum(ratios) / len(ratios)
         two_pass = sum((r - mean) ** 2 for r in ratios) / len(ratios)
-        assert rows["3"].variance_lev_ratio == pytest.approx(two_pass, abs=1e-9)
-        assert rows["3"].variance_lev_ratio >= 0.0
+        assert rows["3"].variance_levenshtein_ratio == pytest.approx(two_pass, abs=1e-9)
+        assert rows["3"].variance_levenshtein_ratio >= 0.0
 
     def test_mean_matches_independent_two_pass_sum(self):
         groups = [
             SourceGroup(f"s{i}" * 3, (f"s{i}t", f"s{i}" * 2)) for i in range(200)
         ]
-        rows = {r.bucket: r for r in bucket_stats(groups)}
+        rows = {r.targets: r for r in bucket_stats(groups)}
         ratios = [
             levenshtein_ratio(g.source, t) for g in groups for t in g.targets
         ]
-        assert rows["total"].mean_lev_ratio == pytest.approx(
+        assert rows["total"].mean_levenshtein_ratio == pytest.approx(
             math.fsum(ratios) / len(ratios), abs=1e-9
         )
 
@@ -197,14 +197,14 @@ class TestCorpusStats:
         filtered = filter_groups(groups, drop_correct=True, drop_identity_targets=True)
         rows = bucket_stats(groups)
         assert rows == bucket_stats_by_group(filtered)
-        assert [row.bucket for row in rows] == ["1", ">=8", "total"]
+        assert [row.targets for row in rows] == ["1", ">=8", "total"]
 
     def test_long_identity_pair_is_not_aligned(self):
         long = "a" * 600
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             overall, rows = corpus_stats([Sample(long, long)])
-        assert overall.mean_lev_ratio == 1.0
+        assert overall.mean_levenshtein_ratio == 1.0
         assert rows == []
 
 

@@ -4,6 +4,9 @@ Every command is deterministic: the same configuration and inputs produce
 byte-identical outputs.  File-writing commands replace each output
 atomically and then record their configuration in a ``<output>.meta.json``
 sidecar.
+
+Each handler imports the library modules its command calls, so a run
+compiles and executes only those: ``--version`` and ``--help`` load none.
 """
 
 from __future__ import annotations
@@ -11,39 +14,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import itertools
-import json
 import os
 import sys
 from typing import IO, Iterator
 
 from . import __version__
-from .corpus import (
-    ParallelFormatError,
-    filter_groups,
-    group_by_source,
-    normalize,
-    parse_parallel,
-    read_lines,
-    write_parallel,
-)
-from .edits import (
-    M2FormatError,
-    apply_edits,
-    extract_edits,
-    read_m2_file,
-    to_m2,
-    write_m2_file,
-)
-from .onetarget import (
-    STRATEGY_NAMES,
-    SelectionConfig,
-    Strategy,
-    build_ablation,
-    clean_corpus,
-)
-from .scorer import evaluate_corpus
-from .scorer import render_report as render_score_report
-from .stats import corpus_stats, render_report as render_stats_report
 
 
 def _read(path: str, parse, **options) -> Iterator:
@@ -53,6 +28,9 @@ def _read(path: str, parse, **options) -> Iterator:
     message becomes ``<path>: line N: ...``.  Every input file is read
     through here, so each input error names its file the same way.
     """
+    from .corpus import ParallelFormatError
+    from .edits import M2FormatError
+
     with open(path, "rb") as stream:
         try:
             yield from parse(stream, **options)
@@ -61,10 +39,14 @@ def _read(path: str, parse, **options) -> Iterator:
 
 
 def _read_samples(args) -> Iterator:
+    from .corpus import parse_parallel
+
     return _read(args.input, parse_parallel, multi_target=args.multi_target_lines)
 
 
 def _read_groups(args) -> list:
+    from .corpus import filter_groups, group_by_source
+
     groups = group_by_source(_read_samples(args))
     if getattr(args, "drop_correct", False):
         groups = filter_groups(groups, drop_correct=True, drop_identity_targets=True)
@@ -113,6 +95,8 @@ def _write_meta(args, **counts) -> None:
     It records every parsed argument outside ``_NOT_CONFIG``, plus
     ``counts``, so a new option is recorded without further code.
     """
+    import json
+
     config = {key: value for key, value in vars(args).items() if key not in _NOT_CONFIG}
     meta = {
         "tool": "gecclean",
@@ -134,8 +118,11 @@ def _emit(args, text: str) -> None:
 
 
 def _cmd_clean(args) -> int:
+    from .corpus import write_parallel
+    from .onetarget import SelectionConfig, Strategy, clean_corpus
+
     groups = _read_groups(args)
-    config = SelectionConfig(Strategy.parse(args.strategy), args.seed)
+    config = SelectionConfig(Strategy(args.strategy), args.seed)
     samples = clean_corpus(groups, config)
     with _atomic_write(args.output) as out:
         count = write_parallel(samples, out)
@@ -144,11 +131,15 @@ def _cmd_clean(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    _emit(args, render_stats_report(*corpus_stats(_read_samples(args)), as_json=args.json))
+    from .stats import corpus_stats, render_report
+
+    _emit(args, render_report(*corpus_stats(_read_samples(args)), as_json=args.json))
     return 0
 
 
 def _cmd_to_m2(args) -> int:
+    from .edits import extract_edits, to_m2, write_m2_file
+
     groups = _read_groups(args)
 
     def block(group) -> str:
@@ -171,6 +162,8 @@ def _cmd_to_m2(args) -> int:
 
 
 def _cmd_apply_m2(args) -> int:
+    from .edits import apply_edits, read_m2_file
+
     count = 0
     with _atomic_write(args.output) as out:
         for source, annotations in _read(args.input, read_m2_file):
@@ -182,6 +175,9 @@ def _cmd_apply_m2(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
+    from .corpus import write_parallel
+    from .onetarget import build_ablation
+
     groups = _read_groups(args)
     datasets = build_ablation(
         groups, args.k_min, args.n_values, args.seed, max_groups=args.max_groups
@@ -201,6 +197,9 @@ def _score_entries(args) -> Iterator[tuple[str, str, list]]:
 
     A count mismatch is raised once both files are read, after any format error.
     """
+    from .corpus import normalize, read_lines
+    from .edits import read_m2_file
+
     gold = _read(args.gold, read_m2_file)
     hypotheses = _read(args.hyp, read_lines)
     entries = lines = 0
@@ -215,11 +214,15 @@ def _score_entries(args) -> Iterator[tuple[str, str, list]]:
             f"{entries} gold entries but {lines} hypothesis lines"
             f" (gold {args.gold}, hypotheses {args.hyp})"
         )
+    if not entries:
+        raise ValueError(f"{args.gold}: cannot score an empty corpus")
 
 
 def _cmd_score(args) -> int:
+    from .scorer import evaluate_corpus, render_report
+
     report = evaluate_corpus(_score_entries(args))
-    _emit(args, render_score_report(report, as_json=args.json))
+    _emit(args, render_report(report, as_json=args.json))
     return 0
 
 
@@ -231,6 +234,17 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _strategy(name: str) -> str:
+    """``name`` once ``Strategy.parse`` accepts it; its error lists the valid names."""
+    from .onetarget import Strategy
+
+    try:
+        Strategy.parse(name)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return name
 
 
 def _int_list(text: str) -> list[int]:
@@ -265,7 +279,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_corpus_input(clean)
     clean.add_argument("-o", "--output", required=True, help="output TSV path")
     clean.add_argument(
-        "--strategy", required=True, choices=STRATEGY_NAMES, help="selection strategy"
+        "--strategy",
+        required=True,
+        type=_strategy,
+        help="selection strategy; an unknown name lists the valid ones",
     )
     clean.add_argument("--seed", type=int, default=42, help="seed for the random strategy")
     clean.add_argument(

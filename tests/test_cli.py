@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -407,6 +408,53 @@ class TestThreads:
         )
         assert result.stdout == "[]\n"
 
+    CORE = ["gecclean", "gecclean.cli", "gecclean.corpus", "gecclean.edits",
+            "gecclean.textmetrics"]
+
+    @pytest.mark.parametrize(
+        "argv, loaded",
+        [
+            (["--version"], ["gecclean", "gecclean.cli"]),
+            (["apply-m2", "gold.m2", "-o", "applied.txt"], CORE),
+            (["to-m2", "in.tsv", "-o", "out.m2"], CORE),
+            (["score", "--gold", "gold.m2", "--hyp", "hyp.txt"], CORE + ["gecclean.scorer"]),
+            (["stats", "in.tsv"], CORE + ["gecclean.stats"]),
+            (
+                ["clean", "in.tsv", "-o", "out.tsv", "--strategy", "lev_sim"],
+                CORE + ["gecclean.onetarget"],
+            ),
+        ],
+        ids=["version", "apply-m2", "to-m2", "score", "stats", "clean"],
+    )
+    def test_each_command_loads_only_its_modules(self, tmp_path, argv, loaded):
+        write(tmp_path / "in.tsv", TWO_GROUP_TSV)
+        assert main(["to-m2", str(tmp_path / "in.tsv"), "-o", str(tmp_path / "gold.m2")]) == 0
+        write(tmp_path / "hyp.txt", "abcf\npqr\n")
+        probe = (
+            "import sys\n"
+            "from gecclean.cli import main\n"
+            "try:\n"
+            "    status = main(sys.argv[1:])\n"
+            "except SystemExit as exc:\n"
+            "    status = exc.code\n"
+            "print(repr((status, sorted(m for m in sys.modules if m.startswith('gecclean')),"
+            " 'json' in sys.modules)))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", probe, *argv],
+            cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        status, modules, has_json = ast.literal_eval(result.stdout.splitlines()[-1])
+        assert status == 0
+        assert modules == sorted(loaded)
+        if argv == ["--version"]:
+            assert not has_json
+
 
 class TestThreadCap:
     @pytest.mark.parametrize("threads", ["0", "-3", "two"])
@@ -623,6 +671,13 @@ class TestScoreReadsInStep:
         err = capsys.readouterr().err
         assert f"{hyp}: line 3: invalid UTF-8: " in err
         assert "gold entries" not in err
+
+    def test_empty_gold_and_hypotheses_name_the_gold_file(self, tmp_path, capsys):
+        gold, _, status = self.score(tmp_path, [], b"")
+        assert status == 1
+        assert capsys.readouterr().err == (
+            f"gecclean score: error: {gold}: cannot score an empty corpus\n"
+        )
 
     def test_empty_gold_is_a_count_mismatch(self, tmp_path, capsys):
         gold, hyp, status = self.score(tmp_path, [], b"a c\n")

@@ -106,6 +106,11 @@ def ratio(source: str, target: str) -> Fraction:
     return Fraction(total - levenshtein_distance_dp(source, target), total)
 
 
+def jaccard(source: str, target: str) -> Fraction:
+    a, b = set(source), set(target)
+    return Fraction(len(a & b), len(a | b))
+
+
 def edit_count(source: str, target: str) -> int:
     return len(merge_path(align_full_matrix(source, target), target))
 
@@ -114,7 +119,11 @@ def edit_count(source: str, target: str) -> int:
 # the first of equal keys, so ties go to first appearance.
 KEYS = {
     "lev_sim": ratio,
+    "lev_dis": lambda source, target: -ratio(source, target),
+    "jac_sim": jaccard,
+    "jac_dis": lambda source, target: -jaccard(source, target),
     "edi_least": lambda source, target: -edit_count(source, target),
+    "edi_most": edit_count,
 }
 
 

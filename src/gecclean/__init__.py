@@ -26,13 +26,12 @@ _EXPORTS = {
             "parse_parallel",
             "write_parallel",
         ),
-        "edits": (
+        "edits": ("align", "extract_edits"),
+        "m2": (
             "Annotation",
             "Edit",
             "M2FormatError",
-            "align",
             "apply_edits",
-            "extract_edits",
             "parse_m2",
             "read_m2_file",
             "to_m2",

@@ -29,7 +29,7 @@ def _read(path: str, parse, **options) -> Iterator:
     through here, so each input error names its file the same way.
     """
     from .corpus import ParallelFormatError
-    from .edits import M2FormatError
+    from .m2 import M2FormatError
 
     with open(path, "rb") as stream:
         try:
@@ -162,7 +162,7 @@ def _cmd_to_m2(args) -> int:
 
 
 def _cmd_apply_m2(args) -> int:
-    from .edits import apply_edits, read_m2_file
+    from .m2 import apply_edits, read_m2_file
 
     count = 0
     with _atomic_write(args.output) as out:
@@ -198,7 +198,7 @@ def _score_entries(args) -> Iterator[tuple[str, str, list]]:
     A count mismatch is raised once both files are read, after any format error.
     """
     from .corpus import normalize, read_lines
-    from .edits import read_m2_file
+    from .m2 import read_m2_file
 
     gold = _read(args.gold, read_m2_file)
     hypotheses = _read(args.hyp, read_lines)

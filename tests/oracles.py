@@ -17,9 +17,14 @@ before it took every other character.  These two share only the package's
 ``read_m2_file_by_join`` are the M2 block parser and file reader the
 package used before the reader handed each block's lines straight to the
 parser: the reader joins a block's lines into one string, which the parser
-splits again, and a noop annotator is a ``None`` entry.  They share the
-package's line reader and its S-line and A-line field parsers, so they
-check block structure: line numbers, blank lines, noops and edit order.
+splits again, and a noop annotator is a ``None`` entry.  Each A line goes
+through ``_parse_a_line``, the package's A-line parser from before its
+block parser read each line in one pass and built each record once: it
+builds an ``Edit`` through its validating constructor, and each edit is
+checked against its annotator's previous one through a pairwise
+``Annotation``.  They share the package's line reader, S-line decoder and
+record types, so they check every field check and its message as well as
+block structure: line numbers, blank lines, noops and edit order.
 ``overall_stats_by_line`` and ``bucket_stats_by_group`` are the two
 statistics passes the package made before ``corpus_stats`` read the
 samples once: a distance per line for the overall table, then one
@@ -35,13 +40,7 @@ import functools
 from fractions import Fraction
 
 from gecclean.corpus import read_lines
-from gecclean.edits import (
-    Annotation,
-    Edit,
-    M2FormatError,
-    _decode_s_line,
-    _parse_a_line,
-)
+from gecclean.m2 import _NONE_FIELD, Annotation, Edit, M2FormatError, _decode_s_line
 from gecclean.stats import (
     _POOLED_LABEL,
     POOLED_BUCKET_MIN,
@@ -281,6 +280,58 @@ def decode_s_line_by_tokens(remainder: str, line_number: int | None) -> str:
         raise M2FormatError("unbalanced spaces in S line", line_number)
     tokens.append(" " * (empties // 2))
     return "".join(tokens)
+
+
+def _parse_a_line(
+    line: str, source_length: int, line_number: int
+) -> tuple[int, Edit | None]:
+    fields = line[2:].split("|||")
+    if len(fields) != 6:
+        raise M2FormatError(
+            f"expected 6 '|||'-separated fields, found {len(fields)}", line_number
+        )
+    span, kind, replacement, required, comment, annotator = fields
+    # Only numbers as to_m2 writes them: int() alone also reads "+0", "0_0",
+    # "01" and non-ASCII digits.
+    try:
+        start, end = map(int, span.split(" "))
+        if f"{start} {end}" != span:
+            raise ValueError(span)
+    except ValueError:
+        raise M2FormatError(f"bad edit span {span!r}", line_number) from None
+    if required != "REQUIRED" or comment != _NONE_FIELD:
+        raise M2FormatError("unexpected REQUIRED/-NONE- fields", line_number)
+    try:
+        annotator_id = int(annotator)
+        if str(annotator_id) != annotator:
+            raise ValueError(annotator)
+    except ValueError:
+        raise M2FormatError(f"bad annotator id {annotator!r}", line_number) from None
+    if annotator_id < 0:
+        raise M2FormatError(f"negative annotator id {annotator_id}", line_number)
+
+    if kind == "noop":
+        if (start, end) != (-1, -1) or replacement != _NONE_FIELD:
+            raise M2FormatError("malformed noop line", line_number)
+        return annotator_id, None
+    if kind not in ("M", "U", "R"):
+        raise M2FormatError(f"unknown edit kind {kind!r}", line_number)
+    if not 0 <= start <= end <= source_length:
+        raise M2FormatError(
+            f"edit span [{start}, {end}) out of bounds for a"
+            f" {source_length}-token source",
+            line_number,
+        )
+    text = "" if replacement == _NONE_FIELD else replacement
+    try:
+        edit = Edit(start, end, text)
+    except ValueError as exc:
+        raise M2FormatError(str(exc), line_number) from None
+    if edit.kind != kind:
+        raise M2FormatError(
+            f"kind {kind} inconsistent with span shape ({edit.kind})", line_number
+        )
+    return annotator_id, edit
 
 
 def parse_m2_by_join(

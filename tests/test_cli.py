@@ -409,13 +409,16 @@ class TestThreads:
         assert result.stdout == "[]\n"
 
     CORE = ["gecclean", "gecclean.cli", "gecclean.corpus", "gecclean.edits",
-            "gecclean.textmetrics"]
+            "gecclean.m2", "gecclean.textmetrics"]
 
     @pytest.mark.parametrize(
         "argv, loaded",
         [
             (["--version"], ["gecclean", "gecclean.cli"]),
-            (["apply-m2", "gold.m2", "-o", "applied.txt"], CORE),
+            (
+                ["apply-m2", "gold.m2", "-o", "applied.txt"],
+                ["gecclean", "gecclean.cli", "gecclean.corpus", "gecclean.m2"],
+            ),
             (["to-m2", "in.tsv", "-o", "out.m2"], CORE),
             (["score", "--gold", "gold.m2", "--hyp", "hyp.txt"], CORE + ["gecclean.scorer"]),
             (["stats", "in.tsv"], CORE + ["gecclean.stats"]),

@@ -88,6 +88,7 @@ M2_ALPHABET = "ab x我能。𠀀😀"
 M2_FIELDS = [
     "", "A 0 1", "A -1 -1", "0 1", "-1 -1", "9 9", "noop", "M", "U", "R", "X",
     "x", "-NONE-", "REQUIRED", "0", "1", "01", "-1", "x|||y",
+    "1 0", "+0 1", "0_0 1", "0 1 2", "١ ٢", "-0", "a\tb", "a\rb", "x|",
 ]
 
 
@@ -97,7 +98,8 @@ def m2_files(draw):
 
     Each annotator is a noop or the edits of a random target.  Mutations
     drop, duplicate or swap lines, insert blank, noop or edit lines, replace
-    one '|||' field, or append a trailing blank line.
+    one '|||' field (an A line's span keeps its "A "), or append a trailing
+    blank line.
     """
     lines: list[str] = []
     for _ in range(draw(st.integers(1, 3))):
@@ -140,9 +142,11 @@ def m2_files(draw):
                 j %= len(lines)
                 lines[i], lines[j] = lines[j], lines[i]
             else:
-                fields = lines[i].split("|||")
+                # An A line's first field is its span, after the "A ".
+                head = "A " if lines[i].startswith("A ") else ""
+                fields = lines[i][len(head) :].split("|||")
                 fields[j % len(fields)] = field
-                lines[i] = "|||".join(fields)
+                lines[i] = head + "|||".join(fields)
     return lines
 
 
@@ -515,6 +519,21 @@ class TestExtractEdits:
     def test_identity_has_no_edits(self):
         assert extract_edits("abc", "abc").edits == ()
 
+    @given(mixed_text, st.integers(0, 2**70))
+    def test_identity_is_an_empty_annotation(self, s, annotator_id):
+        annotation = extract_edits(s, s, annotator_id)
+        assert annotation == Annotation((), annotator_id)
+        assert type(annotation) is Annotation and type(annotation.edits) is tuple
+
+    @pytest.mark.parametrize("t", ["ab", "ax"])
+    def test_negative_annotator_id_rejected(self, t):
+        with pytest.raises(ValueError, match="annotator_id must be non-negative"):
+            extract_edits("ab", t, -1)
+
+    def test_long_identity_pair_is_flagged(self):
+        with pytest.warns(UserWarning, match="unusually long"):
+            assert extract_edits("a" * 513, "a" * 513) == Annotation(())
+
     def test_single_substitution(self):
         assert extract_edits("abcd", "abcf").edits == (Edit(3, 4, "f"),)
 
@@ -781,6 +800,53 @@ class TestM2File:
         with pytest.raises(ParallelFormatError) as excinfo:
             list(read_m2_file(io.BytesIO(data)))
         assert excinfo.value.line_number == 3
+
+    @given(mixed_text, st.lists(mixed_text, min_size=1, max_size=3))
+    def test_extracted_and_read_records_are_the_public_types(self, source, targets):
+        # Both build their records without the validating constructors;
+        # the records must behave as constructed ones do.
+        annotations = [
+            extract_edits(source, target, annotator_id=i)
+            for i, target in enumerate(targets)
+        ]
+        ((_, read),) = read_m2_file(to_m2(source, annotations).splitlines(True))
+        assert read == annotations
+        for annotation in annotations + read:
+            assert type(annotation) is Annotation
+            assert type(annotation.edits) is tuple
+            assert annotation == (annotation.edits, annotation.annotator_id)
+            assert hash(annotation) == hash(Annotation(*annotation))
+            assert annotation._replace() == annotation
+            with pytest.raises(ValueError, match="non-negative"):
+                annotation._replace(annotator_id=-1)
+            for edit in annotation.edits:
+                assert type(edit) is Edit
+                assert edit == Edit(*edit) == tuple(edit)
+                assert hash(edit) == hash(tuple(edit))
+                with pytest.raises(ValueError, match="invalid edit span"):
+                    edit._replace(start=edit.end + 1)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            "1 1|||M|||y|||REQUIRED|||-NONE-|||0",
+            "-1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||1",
+        ],
+        ids=["edit", "noop"],
+    )
+    def test_each_pair_of_fields_matches_join_oracle(self, fields):
+        # Every value of M2_FIELDS in every pair of a line's fields, after
+        # an edit of annotator 0: each check, and which of two comes first.
+        head = "S a b\nA 0 1|||R|||x|||REQUIRED|||-NONE-|||0\nA "
+        fields = fields.split("|||")
+        for i, j in itertools.combinations(range(len(fields)), 2):
+            for u, v in itertools.product(M2_FIELDS, repeat=2):
+                mutated = fields.copy()
+                mutated[i], mutated[j] = u, v
+                block = head + "|||".join(mutated) + "\n"
+                assert m2_outcome(map(parse_m2, [block])) == m2_outcome(
+                    map(parse_m2_by_join, [block])
+                )
 
     @given(m2_files(), st.booleans())
     @settings(max_examples=400)

@@ -57,5 +57,6 @@ def test_import_loads_no_submodule_until_a_name_is_used():
     assert result.stdout.splitlines() == [
         "True",
         "['gecclean']",
-        "['gecclean', 'gecclean.corpus', 'gecclean.edits', 'gecclean.textmetrics']",
+        "['gecclean', 'gecclean.corpus', 'gecclean.edits', 'gecclean.m2',"
+        " 'gecclean.textmetrics']",
     ]

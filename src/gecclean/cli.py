@@ -1,9 +1,9 @@
 """Command-line front end wiring the pipeline together.
 
 Every command is deterministic: the same configuration and inputs produce
-byte-identical outputs.  File-writing commands replace each output
-atomically and then record their configuration in a ``<output>.meta.json``
-sidecar.
+byte-identical outputs.  File-writing commands record their configuration
+in a ``<output>.meta.json`` sidecar, and write it and every output in full
+before any of them replaces its path.
 
 Each handler imports the library modules its command calls, so a run
 compiles and executes only those: ``--version`` and ``--help`` load none.
@@ -24,17 +24,16 @@ from . import __version__
 def _read(path: str, parse, **options) -> Iterator:
     """Yield what ``parse(stream, **options)`` reads from ``path``, opened ``"rb"``.
 
-    ``ParallelFormatError`` and ``M2FormatError`` give the line only; the
-    message becomes ``<path>: line N: ...``.  Every input file is read
-    through here, so each input error names its file the same way.
+    A bad line of any input raises ``ParallelFormatError`` with the line
+    only; the message becomes ``<path>: line N: ...``.  Every input file is
+    read through here, so each input error names its file the same way.
     """
     from .corpus import ParallelFormatError
-    from .m2 import M2FormatError
 
     with open(path, "rb") as stream:
         try:
             yield from parse(stream, **options)
-        except (ParallelFormatError, M2FormatError) as exc:
+        except ParallelFormatError as exc:
             raise ValueError(f"{path}: {exc}") from exc
 
 
@@ -89,32 +88,34 @@ _SHOWN_CHARS = 40
 _NOT_CONFIG = frozenset({"command", "handler", "output", "threads"})
 
 
-def _write_meta(args, **counts) -> None:
-    """Write the ``<output>.meta.json`` sidecar; call it after the output.
+@contextlib.contextmanager
+def _outputs(args, *paths: str) -> Iterator[tuple[list[IO[str]], dict]]:
+    """Yield a stream for each of ``paths`` and a dict that takes the sidecar's counts.
 
-    It records every parsed argument outside ``_NOT_CONFIG``, plus
-    ``counts``, so a new option is recorded without further code.
+    The ``<output>.meta.json`` sidecar records every parsed argument outside
+    ``_NOT_CONFIG``, plus the counts, so a new option is recorded without
+    further code.  Every output and the sidecar are written in full before
+    any replaces its path.  The sidecar is opened and renamed last, so an
+    unwritable output is named first, and a failed output rename keeps it.
     """
     import json
 
     config = {key: value for key, value in vars(args).items() if key not in _NOT_CONFIG}
-    meta = {
-        "tool": "gecclean",
-        "version": __version__,
-        "command": args.command,
-        "config": config | counts,
-    }
-    with _atomic_write(f"{args.output}.meta.json") as out:
-        out.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    meta = dict(tool="gecclean", version=__version__, command=args.command, config=config)
+    with contextlib.ExitStack() as last:
+        with contextlib.ExitStack() as first:
+            streams = [first.enter_context(_atomic_write(path)) for path in paths]
+            sidecar = last.enter_context(_atomic_write(f"{args.output}.meta.json"))
+            yield streams, config
+            sidecar.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def _emit(args, text: str) -> None:
     if args.output is None:
         sys.stdout.write(text)
     else:
-        with _atomic_write(args.output) as out:
+        with _outputs(args, args.output) as ((out,), _):
             out.write(text)
-        _write_meta(args)
 
 
 def _cmd_clean(args) -> int:
@@ -124,9 +125,8 @@ def _cmd_clean(args) -> int:
     groups = _read_groups(args)
     config = SelectionConfig(Strategy(args.strategy), args.seed)
     samples = clean_corpus(groups, config)
-    with _atomic_write(args.output) as out:
-        count = write_parallel(samples, out)
-    _write_meta(args, samples=count)
+    with _outputs(args, args.output) as ((out,), counts):
+        counts["samples"] = write_parallel(samples, out)
     return 0
 
 
@@ -155,9 +155,8 @@ def _cmd_to_m2(args) -> int:
                 f"{args.input}: source starting {group.source[:_SHOWN_CHARS]!r}: {exc}"
             ) from exc
 
-    with _atomic_write(args.output) as out:
-        count = write_m2_file(map(block, groups), out)
-    _write_meta(args, entries=count)
+    with _outputs(args, args.output) as ((out,), counts):
+        counts["entries"] = write_m2_file(map(block, groups), out)
     return 0
 
 
@@ -165,12 +164,12 @@ def _cmd_apply_m2(args) -> int:
     from .m2 import apply_edits, read_m2_file
 
     count = 0
-    with _atomic_write(args.output) as out:
+    with _outputs(args, args.output) as ((out,), counts):
         for source, annotations in _read(args.input, read_m2_file):
             for annotation in annotations:
                 out.write(apply_edits(source, annotation) + "\n")
                 count += 1
-    _write_meta(args, sentences=count)
+        counts["sentences"] = count
     return 0
 
 
@@ -182,13 +181,12 @@ def _cmd_ablate(args) -> int:
     datasets = build_ablation(
         groups, args.k_min, args.n_values, args.seed, max_groups=args.max_groups
     )
-    written = {}
-    # Every dataset is written before the first replaces its path.
-    with contextlib.ExitStack() as stack:
-        for n, samples in datasets.items():
-            path = f"{args.output}.n{n}.tsv"
-            written[path] = write_parallel(samples, stack.enter_context(_atomic_write(path)))
-    _write_meta(args, outputs=written)
+    paths = [f"{args.output}.n{n}.tsv" for n in datasets]
+    with _outputs(args, *paths) as (streams, counts):
+        counts["outputs"] = {
+            path: write_parallel(samples, out)
+            for path, samples, out in zip(paths, datasets.values(), streams)
+        }
     return 0
 
 

@@ -19,6 +19,8 @@ class ParallelFormatError(ValueError):
     """A malformed input line; carries its 1-based line number.
 
     Raised for bad TSV lines and for undecodable lines of any input file.
+    Its subclass ``m2.M2FormatError`` is raised for bad M2 lines, so one
+    ``except`` catches a bad line of any input.
     """
 
     def __init__(self, line_number: int, message: str):

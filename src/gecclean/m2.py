@@ -24,19 +24,17 @@ from __future__ import annotations
 
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
-from .corpus import normalize, read_lines
+from .corpus import ParallelFormatError, normalize, read_lines
 
 _NONE_FIELD = "-NONE-"
 
 
-class M2FormatError(ValueError):
-    """Malformed M2 content, with the offending line number when known."""
+class M2FormatError(ParallelFormatError):
+    """A malformed M2 line: a ``ParallelFormatError`` with the M2 parser's
+    argument order."""
 
-    def __init__(self, message: str, line_number: int | None = None):
-        if line_number is not None:
-            message = f"line {line_number}: {message}"
-        super().__init__(message)
-        self.line_number = line_number
+    def __init__(self, message: str, line_number: int):
+        super().__init__(line_number, message)
 
 
 # The rules on record contents, each stated once: the constructors and the
@@ -113,6 +111,19 @@ class Annotation(_AnnotationFields):
         return cls(*iterable)
 
 
+def _check_bounds(annotation: Annotation, length: int) -> None:
+    """The bound rule of every consumer: the edits fit a ``length``-token source.
+
+    Edits are in order and do not overlap (``Annotation`` checks it, and the
+    parser and the aligner build them so), so the last one ends furthest.
+    """
+    if annotation.edits and annotation.edits[-1].end > length:
+        raise ValueError(
+            f"edit {annotation.edits[-1]} of annotator {annotation.annotator_id}"
+            f" is out of bounds for a {length}-token source"
+        )
+
+
 def apply_edits(s: str, annotation: Annotation) -> str:
     """Apply an annotation to a source sentence.
 
@@ -120,12 +131,9 @@ def apply_edits(s: str, annotation: Annotation) -> str:
     result is passed through sentence normalization, which is a no-op for
     any target produced by ``extract_edits``.
     """
+    _check_bounds(annotation, len(s))
     chars = list(s)
     for edit in reversed(annotation.edits):
-        if edit.end > len(s):
-            raise ValueError(
-                f"edit {edit} out of bounds for a {len(s)}-token source"
-            )
         chars[edit.start : edit.end] = edit.replacement
     return normalize("".join(chars))
 
@@ -144,6 +152,7 @@ def to_m2(source: str, annotations: Sequence[Annotation]) -> str:
         if annotation.annotator_id in seen:
             raise ValueError(f"duplicate annotator_id {annotation.annotator_id}")
         seen.add(annotation.annotator_id)
+        _check_bounds(annotation, len(source))
         if not annotation.edits:
             lines.append(
                 f"A -1 -1|||noop|||{_NONE_FIELD}|||REQUIRED|||{_NONE_FIELD}|||"
@@ -151,10 +160,6 @@ def to_m2(source: str, annotations: Sequence[Annotation]) -> str:
             )
             continue
         for edit in annotation.edits:
-            if edit.end > len(source):
-                raise ValueError(
-                    f"edit {edit} out of bounds for a {len(source)}-token source"
-                )
             # The reader splits at the leftmost "|||", so a trailing "|"
             # would move the field's end as surely as a "|||" inside it.
             text = edit.replacement

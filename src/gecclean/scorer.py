@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 from typing import Iterable, NamedTuple, Sequence
 
-from .edits import Annotation, extract_edits
+from .edits import extract_edits
+from .m2 import Annotation, _check_bounds
 
 
 def f_beta(precision: float, recall: float, beta: float) -> float:
@@ -62,25 +63,17 @@ def evaluate_sentence(
             "at least one gold annotation is required (a noop annotation counts)"
         )
     hypothesis_edits = set(extract_edits(source, hypothesis).edits)
-    best: tuple[int, int, int] | None = None
-    chosen: tuple[int, int, int, int] | None = None
+    best = None
     for annotation in gold:
-        for edit in annotation.edits:
-            if edit.end > len(source):
-                raise ValueError(
-                    f"gold edit {edit} of annotator {annotation.annotator_id}"
-                    f" is out of bounds for a {len(source)}-token source"
-                )
-        reference = set(annotation.edits)
-        tp = len(hypothesis_edits & reference)
+        _check_bounds(annotation, len(source))
+        # An annotation's edits are distinct: they are in order and do not overlap.
+        tp = len(hypothesis_edits.intersection(annotation.edits))
         fp = len(hypothesis_edits) - tp
-        fn = len(reference) - tp
+        fn = len(annotation.edits) - tp
         key = (tp, -(fp + fn), -annotation.annotator_id)
-        if best is None or key > best:
-            best = key
-            chosen = (tp, fp, fn, annotation.annotator_id)
-    assert chosen is not None
-    return chosen
+        if best is None or key > best[0]:
+            best = key, (tp, fp, fn, annotation.annotator_id)
+    return best[1]
 
 
 def evaluate_corpus(

@@ -31,15 +31,20 @@ samples once: a distance per line for the overall table, then one
 alignment per target of pre-filtered groups for the breakdown.  They share
 the package's accumulators, and the breakdown its ``_pair_values``, so they
 check the single pass: line order, duplicates, identity targets, bucket
-order and every float's bit pattern.
+order and every float's bit pattern.  ``evaluate_sentence_per_edit`` is the
+sentence scorer the package used before an annotation's bounds were checked
+on its last edit alone: it checks every gold edit against the source and
+builds a set of each annotator's edits.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from typing import Sequence
 
 from gecclean.corpus import read_lines
+from gecclean.edits import extract_edits
 from gecclean.m2 import _NONE_FIELD, Annotation, Edit, M2FormatError, _decode_s_line
 from gecclean.stats import (
     _POOLED_LABEL,
@@ -253,7 +258,7 @@ def levenshtein_distance_dp(s: str, t: str) -> int:
     return row[-1]
 
 
-def decode_s_line_by_tokens(remainder: str, line_number: int | None) -> str:
+def decode_s_line_by_tokens(remainder: str, line_number: int) -> str:
     """Decode an S line by counting the empty fields of a split on spaces."""
     # Tokens are single characters joined by single spaces, so a literal
     # space token appears as exactly two consecutive empty split fields.
@@ -456,3 +461,39 @@ def bucket_stats_by_group(groups):
     ]
     rows.append(total.row(TOTAL_LABEL, group_count))
     return rows
+
+
+def evaluate_sentence_per_edit(
+    source: str, hypothesis: str, gold: Sequence[Annotation]
+) -> tuple[int, int, int, int]:
+    """Score one hypothesis against the gold annotators of its source.
+
+    Hypothesis edits are extracted with the same aligner used to build the
+    gold file; an edit matches when (start, end, replacement) all agree.
+    Kind labels are ignored since they are derived from span shape.
+    Returns (tp, fp, fn, chosen annotator id).
+    """
+    if not gold:
+        raise ValueError(
+            "at least one gold annotation is required (a noop annotation counts)"
+        )
+    hypothesis_edits = set(extract_edits(source, hypothesis).edits)
+    best: tuple[int, int, int] | None = None
+    chosen: tuple[int, int, int, int] | None = None
+    for annotation in gold:
+        for edit in annotation.edits:
+            if edit.end > len(source):
+                raise ValueError(
+                    f"gold edit {edit} of annotator {annotation.annotator_id}"
+                    f" is out of bounds for a {len(source)}-token source"
+                )
+        reference = set(annotation.edits)
+        tp = len(hypothesis_edits & reference)
+        fp = len(hypothesis_edits) - tp
+        fn = len(reference) - tp
+        key = (tp, -(fp + fn), -annotation.annotator_id)
+        if best is None or key > best:
+            best = key
+            chosen = (tp, fp, fn, annotation.annotator_id)
+    assert chosen is not None
+    return chosen

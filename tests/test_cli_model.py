@@ -17,6 +17,7 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gecclean.cli import main
@@ -309,3 +310,151 @@ def test_failed_sidecar_rename_leaves_a_complete_output(tmp_path, monkeypatch):
     assert out.read_bytes().decode("utf-8") in complete
     sidecar = json.loads((tmp_path / "out.tsv.meta.json").read_text(encoding="utf-8"))
     assert sidecar["config"]["strategy"] in KEYS
+
+
+def sidecar_runs(work: Path) -> dict[str, list[str]]:
+    """One run of each sidecar-writing command, all writing ``out``."""
+    tsv, gold, hyp, out = (str(work / name) for name in ("in.tsv", "gold.m2", "hyp.txt", "out"))
+    return {
+        "clean": ["clean", tsv, "-o", out, "--strategy", "lev_sim"],
+        "stats": ["stats", tsv, "-o", out],
+        "to-m2": ["to-m2", tsv, "-o", out],
+        "apply-m2": ["apply-m2", gold, "-o", out],
+        "score": ["score", "--gold", gold, "--hyp", hyp, "-o", out],
+        "ablate": ["ablate", tsv, "-o", out, "--k-min", "1", "--n-values", "1"],
+    }
+
+
+def write_inputs(work: Path, pairs: list[tuple[str, str]]) -> None:
+    (work / "in.tsv").write_bytes("".join(f"{s}\t{t}\n" for s, t in pairs).encode("utf-8"))
+    assert main(["to-m2", str(work / "in.tsv"), "-o", str(work / "gold.m2")]) == 0
+    hypotheses = ["abcxef"] + [t for _, t in pairs[1:]]
+    (work / "hyp.txt").write_bytes("".join(h + "\n" for h in hypotheses).encode("utf-8"))
+
+
+def rerun_argv(work: Path, command: str) -> list[str]:
+    """Run ``command``, then change its inputs; the returned rerun would
+    change its output and its sidecar (through a count or ``--json``)."""
+    argv = sidecar_runs(work)[command]
+    write_inputs(work, [("abcdef", "abcxef")])
+    assert main(argv) == 0
+    write_inputs(work, [("abcdef", "abc"), ("pq", "pqr")])
+    return argv + ["--json"] * (command in ("stats", "score"))
+
+
+SIDECAR_COMMANDS = list(sidecar_runs(Path()))
+
+
+def assert_rerun_changes_both(work: Path, argv: list[str], before: dict[str, bytes]) -> None:
+    assert main(argv) == 0
+    after = snapshot(work)
+    assert after["out.meta.json"] != before["out.meta.json"]
+    assert {name for name in after if after[name] != before.get(name)} - {"out.meta.json"}
+
+
+@pytest.mark.parametrize("command", SIDECAR_COMMANDS)
+def test_unwritable_sidecar_replaces_nothing(tmp_path, capsys, command):
+    """A run whose sidecar cannot be opened exits 1 before any output is
+    renamed: every file keeps its bytes."""
+    argv = rerun_argv(tmp_path, command)
+    before = snapshot(tmp_path)
+    blocker = tmp_path / f"out.meta.json.{os.getpid()}.tmp"
+    blocker.mkdir()
+    assert main(argv) == 1
+    assert "out.meta.json" in capsys.readouterr().err
+    blocker.rmdir()
+    assert snapshot(tmp_path) == before
+    assert not list(tmp_path.glob("*.tmp"))
+    assert_rerun_changes_both(tmp_path, argv, before)
+
+
+@pytest.mark.parametrize("command", SIDECAR_COMMANDS)
+def test_failed_output_rename_keeps_the_sidecar(tmp_path, monkeypatch, command):
+    """The sidecar is renamed after its output: when the output's rename
+    fails, the previous sidecar still describes the previous output."""
+    argv = rerun_argv(tmp_path, command)
+    before = snapshot(tmp_path)
+    replace = os.replace
+
+    def failing_replace(src, dst):
+        if not str(dst).endswith(".meta.json"):
+            raise OSError(errno.EIO, "injected failure")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    assert main(argv) == 1
+    assert snapshot(tmp_path) == before
+    assert not list(tmp_path.glob("*.tmp"))
+    monkeypatch.undo()
+    assert_rerun_changes_both(tmp_path, argv, before)
+
+
+def read_lines_of(path: str) -> list[str]:
+    text = Path(path).read_bytes().decode("utf-8")
+    assert text == "" or text.endswith("\n")
+    return text.split("\n")[:-1]
+
+
+@given(corpora(), st.integers(1, 3), st.data())
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_ablate_matches_model(corpus, k_min, data):
+    text, multi = corpus
+    n_values = data.draw(st.lists(st.integers(1, k_min), min_size=1, max_size=3))
+    max_groups = data.draw(st.none() | st.integers(1, 4))
+    groups = [
+        (source, targets)
+        for source, targets in model_groups(model_samples(text), drop_correct=False)
+        if len(targets) >= k_min
+    ]
+    sizes = sorted(set(n_values))
+    with tempfile.TemporaryDirectory() as directory:
+        work = Path(directory)
+        (work / "in.tsv").write_bytes(text)
+        prefix = str(work / "out")
+        argv = ["ablate", str(work / "in.tsv"), "-o", prefix, "--k-min", str(k_min)]
+        argv += ["--n-values", ",".join(map(str, n_values))]
+        argv += ["--seed", str(data.draw(st.integers(0, 2**32)))]
+        argv += ["--multi-target-lines"] * multi
+        argv += ["--max-groups", str(max_groups)] * (max_groups is not None)
+        assert main(argv) == 0
+        paths = {n: f"{prefix}.n{n}.tsv" for n in sizes}
+        datasets = {n: read_lines_of(paths[n]) for n in sizes}
+
+        picks = {}  # each dataset's targets per source, in source order
+        for n, lines in datasets.items():
+            by_source: dict[str, list[str]] = {}
+            for line in lines:
+                source, target = line.split("\t")
+                by_source.setdefault(source, []).append(target)
+            assert lines == [f"{s}\t{t}" for s, targets in by_source.items() for t in targets]
+            assert all(len(targets) == n for targets in by_source.values())
+            picks[n] = by_source
+
+        # Kept: the groups with at least k_min distinct targets, in order,
+        # or a subsequence of max_groups of them.
+        kept = list(picks[sizes[0]])
+        expected = [source for source, _ in groups]
+        if max_groups is None or max_groups >= len(expected):
+            assert kept == expected
+        else:
+            remaining = iter(expected)
+            assert len(kept) == max_groups
+            assert all(source in remaining for source in kept)
+        for n in sizes:
+            assert len(datasets[n]) == n * len(kept)
+        for small, large in zip(sizes, sizes[1:]):
+            assert list(picks[large]) == kept
+            for source in kept:
+                assert picks[large][source][:small] == picks[small][source]
+        distinct = dict(groups)
+        for source, targets in picks[sizes[-1]].items():
+            assert len(set(targets)) == len(targets)
+            assert set(targets) <= set(distinct[source])
+
+        sidecar = json.loads(Path(f"{prefix}.meta.json").read_text(encoding="utf-8"))
+        assert sidecar["config"]["outputs"] == {
+            paths[n]: len(lines) for n, lines in datasets.items()
+        }
+        before = snapshot(work)
+        assert main(argv) == 0
+        assert snapshot(work) == before

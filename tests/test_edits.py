@@ -21,6 +21,7 @@ from gecclean.edits import (
     to_m2,
     write_m2_file,
 )
+from gecclean.scorer import evaluate_sentence
 from gecclean.textmetrics import levenshtein_distance
 from oracles import (
     align_full_matrix,
@@ -572,6 +573,39 @@ class TestApplyEdits:
             apply_edits("ab", Annotation((Edit(1, 3, "x"),)))
 
 
+# Each consumer of an annotation checks its edits against the sentence.
+BOUND_CONSUMERS = {
+    "to_m2": lambda source, annotation: to_m2(source, [annotation]),
+    "apply_edits": apply_edits,
+    "evaluate_sentence": lambda source, annotation: evaluate_sentence(
+        source, source, [annotation]
+    ),
+}
+
+
+@pytest.mark.parametrize("consume", BOUND_CONSUMERS.values(), ids=BOUND_CONSUMERS)
+class TestBoundOnTheLastEdit:
+    @pytest.mark.parametrize(
+        "last", [Edit(2, 4, "y"), Edit(4, 4, "y"), Edit(3, 5, "")],
+        ids=["replacement", "insertion", "deletion"],
+    )
+    def test_last_edit_past_the_source_is_named(self, consume, last):
+        # The first edit fits a 3-token source; only the last one ends past it.
+        annotation = Annotation((Edit(0, 1, "x"), last), 2)
+        with pytest.raises(ValueError) as excinfo:
+            consume("abc", annotation)
+        assert str(excinfo.value) == (
+            f"edit {last} of annotator 2 is out of bounds for a 3-token source"
+        )
+
+    @pytest.mark.parametrize(
+        "last", [Edit(2, 3, "y"), Edit(3, 3, "y"), Edit(1, 3, "")],
+        ids=["replacement", "insertion", "deletion"],
+    )
+    def test_last_edit_ending_at_the_source_end_is_accepted(self, consume, last):
+        consume("abc", Annotation((Edit(0, 1, "x"), last), 2))
+
+
 class TestM2Format:
     def test_noop_block(self):
         block = to_m2("ab", [Annotation((), 0)])
@@ -800,6 +834,23 @@ class TestM2File:
         with pytest.raises(ParallelFormatError) as excinfo:
             list(read_m2_file(io.BytesIO(data)))
         assert excinfo.value.line_number == 3
+
+    def test_one_except_catches_a_bad_line_of_either_kind(self):
+        noop = b"A -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||0\n"
+        files = [
+            b"S a b\n" + noop + b"\nS c\xff\n" + noop,  # invalid UTF-8 on line 4
+            b"S a b\n" + noop + b"\nS c d\nA 0 1|||X|||x|||REQUIRED|||-NONE-|||0\n",
+        ]
+        caught = []
+        for data in files:
+            try:
+                list(read_m2_file(io.BytesIO(data)))
+            except ParallelFormatError as exc:
+                caught.append((exc.line_number, str(exc)))
+        (utf8_number, utf8_message), (a_line_number, a_line_message) = caught
+        assert (utf8_number, a_line_number) == (4, 5)
+        assert utf8_message.startswith("line 4: invalid UTF-8: ")
+        assert a_line_message == "line 5: unknown edit kind 'X'"
 
     @given(mixed_text, st.lists(mixed_text, min_size=1, max_size=3))
     def test_extracted_and_read_records_are_the_public_types(self, source, targets):

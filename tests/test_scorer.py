@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gecclean.edits import Annotation, Edit, extract_edits
 from gecclean.scorer import (
@@ -8,6 +8,7 @@ from gecclean.scorer import (
     evaluate_sentence,
     f_beta,
 )
+from oracles import evaluate_sentence_per_edit
 
 SOURCE = "我能胜任这此职务"
 REF1 = "我能胜任这职务。"
@@ -19,6 +20,40 @@ def gold_annotations():
         extract_edits(SOURCE, REF1, annotator_id=0),
         extract_edits(SOURCE, REF2, annotator_id=1),
     ]
+
+
+# A small alphabet, so hypotheses and annotators often share edits.
+short_text = st.text(alphabet="ab我。", max_size=8)
+
+
+@st.composite
+def hand_built(draw, source: str, annotator_id: int) -> Annotation:
+    """An in-bounds annotation: spans between distinct cut points, some insertions."""
+    cuts = sorted(draw(st.lists(st.integers(0, len(source)), unique=True, max_size=6)))
+    edits = []
+    for start, end in zip(cuts[::2], cuts[1::2]):
+        if draw(st.booleans()):
+            end = start
+        replacement = draw(short_text.filter(lambda text: text or start < end))
+        edits.append(Edit(start, end, replacement))
+    return Annotation(edits, annotator_id)
+
+
+@st.composite
+def scored_sentences(draw):
+    source = draw(short_text)
+    hypothesis = draw(short_text)
+    ids = draw(st.lists(st.integers(0, 5), min_size=1, max_size=4))
+    gold = [
+        draw(
+            st.one_of(
+                short_text.map(lambda target: extract_edits(source, target, annotator_id)),
+                hand_built(source, annotator_id),
+            )
+        )
+        for annotator_id in ids
+    ]
+    return source, hypothesis, gold
 
 
 class TestFBeta:
@@ -106,6 +141,11 @@ class TestEvaluateSentence:
         bad = [Annotation((Edit(5, 9, "x"),))]
         with pytest.raises(ValueError, match="out of bounds"):
             evaluate_sentence("ab", "ab", bad)
+
+    @given(scored_sentences())
+    @settings(max_examples=300)
+    def test_matches_the_per_edit_oracle(self, sentence):
+        assert evaluate_sentence(*sentence) == evaluate_sentence_per_edit(*sentence)
 
     def test_kind_is_ignored_for_matching(self):
         # Gold written as a replacement span, hypothesis produces the same

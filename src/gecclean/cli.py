@@ -138,7 +138,8 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_to_m2(args) -> int:
-    from .edits import extract_edits, to_m2, write_m2_file
+    from .edits import extract_edits
+    from .m2 import to_m2, write_m2_file
 
     groups = _read_groups(args)
 

@@ -145,14 +145,17 @@ def filter_groups(
 ) -> list[SourceGroup]:
     """Apply the grammatical-source filters, preserving group order.
 
-    ``drop_identity_targets`` removes targets equal to their source.  A
-    group left with no targets at all (the source was fully grammatical)
-    is dropped; ``drop_correct`` names that intent, and an empty group
-    cannot be represented anyway.
+    ``drop_correct`` drops a group whose every target equals its source
+    (the source is fully grammatical); identity targets in a group that
+    also has other targets stay.  ``drop_identity_targets`` removes every
+    target equal to its source.  A group left with no targets is dropped,
+    since an empty group cannot be represented.
     """
     kept = []
     for group in groups:
         targets = group.targets
+        if drop_correct and all(t == group.source for t in targets):
+            continue
         if drop_identity_targets:
             targets = tuple(t for t in targets if t != group.source)
         if not targets:

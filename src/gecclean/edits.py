@@ -13,7 +13,8 @@ import warnings
 
 from .m2 import Annotation, Edit, _check_annotator_id
 
-# These moved to gecclean.m2 and stay importable from here.
+# Defined in gecclean.m2.  They stay importable from here because the
+# acceptance suite and the bench harness import them from this module.
 from .m2 import (  # noqa: F401
     M2FormatError,
     apply_edits,

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from gecclean import __version__, extract_edits, to_m2
+from gecclean import __version__
+from gecclean.edits import extract_edits
+from gecclean.m2 import to_m2
 from gecclean.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -426,8 +428,17 @@ class TestThreads:
                 ["clean", "in.tsv", "-o", "out.tsv", "--strategy", "lev_sim"],
                 CORE + ["gecclean.onetarget"],
             ),
+            (
+                ["clean", "in.tsv", "-o", "out.tsv", "--strategy", "edi_least"],
+                CORE + ["gecclean.onetarget"],
+            ),
+            (
+                ["ablate", "in.tsv", "-o", "abl", "--k-min", "2", "--n-values", "1,2"],
+                CORE + ["gecclean.onetarget"],
+            ),
         ],
-        ids=["version", "apply-m2", "to-m2", "score", "stats", "clean"],
+        ids=["version", "apply-m2", "to-m2", "score", "stats", "clean", "clean-edi_least",
+             "ablate"],
     )
     def test_each_command_loads_only_its_modules(self, tmp_path, argv, loaded):
         write(tmp_path / "in.tsv", TWO_GROUP_TSV)

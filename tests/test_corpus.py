@@ -170,6 +170,14 @@ class TestFilterGroups:
             SourceGroup("s", ("t",))
         ]
 
+    def test_drop_correct_alone_drops_only_fully_correct_groups(self):
+        groups = [SourceGroup("ab", ("ab",)), SourceGroup("cd", ("cd", "ce"))]
+        assert filter_groups(groups, drop_correct=True) == [SourceGroup("cd", ("cd", "ce"))]
+
+    def test_drop_identity_targets_alone(self):
+        groups = [SourceGroup("ab", ("ab",)), SourceGroup("cd", ("cd", "ce"))]
+        assert filter_groups(groups, drop_identity_targets=True) == [SourceGroup("cd", ("ce",))]
+
     def test_no_flags_is_identity(self):
         groups = [SourceGroup("s", ("s", "t"))]
         assert filter_groups(groups) == groups

@@ -236,11 +236,11 @@ def _positive_int(text: str) -> int:
 
 
 def _strategy(name: str) -> str:
-    """``name`` once ``Strategy.parse`` accepts it; its error lists the valid names."""
+    """``name`` once ``Strategy(name)`` accepts it; its error lists the valid names."""
     from .onetarget import Strategy
 
     try:
-        Strategy.parse(name)
+        Strategy(name)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return name
@@ -363,7 +363,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, OSError) as exc:
+    # Under -W error the long-pair flag is raised as a Warning.
+    except (ValueError, OSError, Warning) as exc:
         print(f"gecclean {args.command}: error: {exc}", file=sys.stderr)
         return 1
 

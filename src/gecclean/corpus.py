@@ -23,7 +23,7 @@ class ParallelFormatError(ValueError):
     ``except`` catches a bad line of any input.
     """
 
-    def __init__(self, line_number: int, message: str):
+    def __init__(self, message: str, line_number: int):
         super().__init__(f"line {line_number}: {message}")
         self.line_number = line_number
 
@@ -74,7 +74,7 @@ def read_lines(lines: Iterable[str | bytes]) -> Iterator[tuple[int, str]]:
             try:
                 raw = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
-                raise ParallelFormatError(number, f"invalid UTF-8: {exc}") from exc
+                raise ParallelFormatError(f"invalid UTF-8: {exc}", number) from exc
         if number == 1 and raw.startswith("\ufeff"):
             raw = raw[1:]
         yield number, raw.rstrip("\r\n")
@@ -97,18 +97,16 @@ def parse_parallel(
             continue
         fields = line.split("\t")
         if len(fields) < 2:
-            raise ParallelFormatError(
-                number, "expected at least 2 tab-separated fields"
-            )
+            raise ParallelFormatError("expected at least 2 tab-separated fields", number)
         if not multi_target and len(fields) != 2:
             raise ParallelFormatError(
-                number,
                 f"expected 2 tab-separated fields, found {len(fields)}"
                 " (did you mean the multi-target layout?)",
+                number,
             )
         sentences = [normalize(field) for field in fields]
         if not all(sentences):
-            raise ParallelFormatError(number, "empty field")
+            raise ParallelFormatError("empty field", number)
         source = sentences[0]
         for target in sentences[1:]:
             yield Sample(source, target)

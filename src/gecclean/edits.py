@@ -3,8 +3,8 @@
 Edits are derived from a minimum-cost character alignment between a source
 and a target sentence.  Every maximal run of contiguous non-match alignment
 steps is merged into a single edit, so "number of edits" is well defined.
-The records, their kinds and the M2 format are in ``gecclean.m2``; their
-names stay importable from here.
+The records, their kinds and the M2 format are in ``gecclean.m2``; the
+records and the M2 functions stay importable from here.
 """
 
 from __future__ import annotations
@@ -15,20 +15,8 @@ from .m2 import Annotation, Edit, _check_annotator_id
 
 # Defined in gecclean.m2.  They stay importable from here because the
 # acceptance suite and the bench harness import them from this module.
-from .m2 import (  # noqa: F401
-    M2FormatError,
-    apply_edits,
-    parse_m2,
-    read_m2_file,
-    to_m2,
-    write_m2_file,
-)
+from .m2 import apply_edits, parse_m2, read_m2_file, to_m2, write_m2_file  # noqa: F401
 from .textmetrics import DeltaColumn, bit_vector_columns, common_affixes
-
-MATCH = "match"
-SUBSTITUTE = "substitute"
-DELETE = "delete"
-INSERT = "insert"
 
 # Pairs longer than this are still aligned.  Only the core left after the
 # common prefix and suffix is computed, and only its certified band is
@@ -37,19 +25,19 @@ INSERT = "insert"
 # bytes of delta bits, so flag long pairs for batch callers to notice.
 ALIGN_LENGTH_FLAG = 512
 
-# The band align tries first: this many diagonals either side of those
-# between the core's corners.  A core whose distance exceeds its length
-# difference by more than 2 * 8 + 1 pays one more pass; a wider first band
-# spares few such passes and widens the integers of every column.
+# The band extract_edits tries first: this many diagonals either side of
+# those between the core's corners.  A core whose distance exceeds its
+# length difference by more than 2 * 8 + 1 pays one more pass; a wider
+# first band spares few such passes and widens the integers of every column.
 _FIRST_BAND = 8
 
 
 def align(s: str, t: str) -> list[str]:
     """Minimum-cost unit-cost alignment path from s to t.
 
-    Returns the list of MATCH / SUBSTITUTE / DELETE / INSERT steps whose
-    non-match runs ``extract_edits`` merges.  Ties are broken match >
-    substitute > delete > insert, walking back from the end.
+    Returns the list of "match" / "substitute" / "delete" / "insert"
+    steps whose non-match runs ``extract_edits`` merges.  Ties are broken
+    match > substitute > delete > insert, walking back from the end.
     """
     # Inside a run the backtrace takes a substitution whenever both strings
     # have characters of the run left, because D(i-1, j-1) = D(i, j) - 1
@@ -59,11 +47,11 @@ def align(s: str, t: str) -> list[str]:
     i = 0
     for edit in extract_edits(s, t).edits:
         span, length = edit.end - edit.start, len(edit.replacement)
-        path += [MATCH] * (edit.start - i)
-        path += [DELETE] * (span - length) + [INSERT] * (length - span)
-        path += [SUBSTITUTE] * min(span, length)
+        path += ["match"] * (edit.start - i)
+        path += ["delete"] * (span - length) + ["insert"] * (length - span)
+        path += ["substitute"] * min(span, length)
         i = edit.end
-    path += [MATCH] * (len(s) - i)
+    path += ["match"] * (len(s) - i)
     return path
 
 

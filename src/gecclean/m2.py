@@ -30,11 +30,7 @@ _NONE_FIELD = "-NONE-"
 
 
 class M2FormatError(ParallelFormatError):
-    """A malformed M2 line: a ``ParallelFormatError`` with the M2 parser's
-    argument order."""
-
-    def __init__(self, message: str, line_number: int):
-        super().__init__(line_number, message)
+    """A malformed M2 line: a ``ParallelFormatError`` raised by the M2 parser."""
 
 
 # The rules on record contents, each stated once: the constructors and the

@@ -22,7 +22,9 @@ class Strategy(enum.Enum):
 
     The *_sim strategies keep the target most similar to the source,
     *_dis the least similar; edi_least / edi_most rank by merged edit
-    count.  Values are the exact names accepted on the command line.
+    count.  Values are the exact names accepted on the command line, and
+    ``Strategy(name)`` raises a ``ValueError`` that lists them for any
+    other name.
     """
 
     LEV_SIM = "lev_sim"
@@ -34,17 +36,10 @@ class Strategy(enum.Enum):
     RANDOM = "random"
 
     @classmethod
-    def parse(cls, name: str) -> "Strategy":
-        try:
-            return cls(name)
-        except ValueError:
-            valid = ", ".join(s.value for s in cls)
-            raise ValueError(
-                f"unknown strategy {name!r}; valid strategies: {valid}"
-            ) from None
+    def _missing_(cls, name):
+        valid = ", ".join(s.value for s in cls)
+        raise ValueError(f"unknown strategy {name!r}; valid strategies: {valid}")
 
-
-STRATEGY_NAMES = tuple(s.value for s in Strategy)
 
 _ARGMAX = frozenset({Strategy.LEV_SIM, Strategy.JAC_SIM, Strategy.EDI_MOST})
 

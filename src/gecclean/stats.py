@@ -10,7 +10,7 @@ from .edits import extract_edits
 
 # Groups with this many targets or more share one pooled bucket.
 POOLED_BUCKET_MIN = 8
-_POOLED_LABEL = ">=8"
+_POOLED_LABEL = f">={POOLED_BUCKET_MIN}"
 TOTAL_LABEL = "total"
 
 

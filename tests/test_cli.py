@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -246,6 +247,27 @@ class TestM2Pipeline:
         )
         assert result.stderr.count("aligning an unusually long pair") == 1
         assert "UserWarning" in result.stderr
+
+    @pytest.mark.parametrize(
+        "command, options",
+        [("to-m2", []), ("clean", ["--strategy", "edi_least"])],
+    )
+    def test_long_pair_warning_as_error_is_one_error_line(
+        self, tmp_path, capsys, command, options
+    ):
+        # Under -W error the long-pair flag is raised: main reports it as
+        # any other error and keeps the previous output.
+        corpus = write(tmp_path / "long.tsv", f"{'a' * 600}\t{'a' * 600}b\t{'a' * 600}c\n")
+        out = write(tmp_path / "out", "previous\n")
+        argv = [command, str(corpus), "-o", str(out), "--multi-target-lines", *options]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"gecclean {command}: error: aligning an unusually long pair (over 512 characters)\n"
+        )
+        assert out.read_text(encoding="utf-8") == "previous\n"
+        assert list(tmp_path.glob("*.tmp")) == []
 
     @pytest.mark.parametrize(
         "command, bad_file",

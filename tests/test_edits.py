@@ -12,7 +12,6 @@ from gecclean.corpus import ParallelFormatError
 from gecclean.edits import (
     Annotation,
     Edit,
-    M2FormatError,
     align,
     apply_edits,
     extract_edits,
@@ -21,6 +20,7 @@ from gecclean.edits import (
     to_m2,
     write_m2_file,
 )
+from gecclean.m2 import M2FormatError
 from gecclean.scorer import evaluate_sentence
 from gecclean.textmetrics import levenshtein_distance
 from oracles import (
@@ -834,6 +834,12 @@ class TestM2File:
         with pytest.raises(ParallelFormatError) as excinfo:
             list(read_m2_file(io.BytesIO(data)))
         assert excinfo.value.line_number == 3
+
+    @pytest.mark.parametrize("error_type", [ParallelFormatError, M2FormatError])
+    def test_both_errors_are_built_message_then_line_number(self, error_type):
+        error = error_type("x", 3)
+        assert str(error) == "line 3: x"
+        assert error.line_number == 3
 
     def test_one_except_catches_a_bad_line_of_either_kind(self):
         noop = b"A -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||0\n"

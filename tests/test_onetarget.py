@@ -3,7 +3,6 @@ from hypothesis import given, settings, strategies as st
 
 from gecclean.corpus import Sample, SourceGroup
 from gecclean.onetarget import (
-    STRATEGY_NAMES,
     SelectionConfig,
     Strategy,
     build_ablation,
@@ -19,7 +18,8 @@ DETERMINISTIC = [s for s in Strategy if s is not Strategy.RANDOM]
 
 class TestStrategyParsing:
     def test_all_names_accepted(self):
-        assert STRATEGY_NAMES == (
+        names = tuple(s.value for s in Strategy)
+        assert names == (
             "lev_sim",
             "lev_dis",
             "jac_sim",
@@ -28,12 +28,16 @@ class TestStrategyParsing:
             "edi_most",
             "random",
         )
-        for name in STRATEGY_NAMES:
-            assert Strategy.parse(name).value == name
+        for name in names:
+            assert Strategy(name).value == name
 
     def test_unknown_name_lists_valid_ones(self):
-        with pytest.raises(ValueError, match="lev_sim.*random"):
-            Strategy.parse("bogus")
+        with pytest.raises(ValueError) as excinfo:
+            Strategy("bogus")
+        assert str(excinfo.value) == (
+            "unknown strategy 'bogus'; valid strategies: lev_sim, lev_dis,"
+            " jac_sim, jac_dis, edi_least, edi_most, random"
+        )
 
 
 class TestScoreTarget:

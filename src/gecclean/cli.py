@@ -48,7 +48,9 @@ def _read_groups(args) -> list:
 
     groups = group_by_source(_read_samples(args))
     if getattr(args, "drop_correct", False):
-        groups = filter_groups(groups, drop_correct=True, drop_identity_targets=True)
+        # With the identity targets gone, every fully grammatical source
+        # is an empty group, which filter_groups drops.
+        groups = filter_groups(groups, drop_identity_targets=True)
     return groups
 
 
@@ -118,26 +120,23 @@ def _emit(args, text: str) -> None:
             out.write(text)
 
 
-def _cmd_clean(args) -> int:
+def _cmd_clean(args) -> None:
     from .corpus import write_parallel
-    from .onetarget import SelectionConfig, Strategy, clean_corpus
+    from .onetarget import SelectionConfig, Strategy, select
 
     groups = _read_groups(args)
     config = SelectionConfig(Strategy(args.strategy), args.seed)
-    samples = clean_corpus(groups, config)
     with _outputs(args, args.output) as ((out,), counts):
-        counts["samples"] = write_parallel(samples, out)
-    return 0
+        counts["samples"] = write_parallel((select(group, config) for group in groups), out)
 
 
-def _cmd_stats(args) -> int:
+def _cmd_stats(args) -> None:
     from .stats import corpus_stats, render_report
 
     _emit(args, render_report(*corpus_stats(_read_samples(args)), as_json=args.json))
-    return 0
 
 
-def _cmd_to_m2(args) -> int:
+def _cmd_to_m2(args) -> None:
     from .edits import extract_edits
     from .m2 import to_m2, write_m2_file
 
@@ -158,10 +157,9 @@ def _cmd_to_m2(args) -> int:
 
     with _outputs(args, args.output) as ((out,), counts):
         counts["entries"] = write_m2_file(map(block, groups), out)
-    return 0
 
 
-def _cmd_apply_m2(args) -> int:
+def _cmd_apply_m2(args) -> None:
     from .m2 import apply_edits, read_m2_file
 
     count = 0
@@ -171,10 +169,9 @@ def _cmd_apply_m2(args) -> int:
                 out.write(apply_edits(source, annotation) + "\n")
                 count += 1
         counts["sentences"] = count
-    return 0
 
 
-def _cmd_ablate(args) -> int:
+def _cmd_ablate(args) -> None:
     from .corpus import write_parallel
     from .onetarget import build_ablation
 
@@ -188,7 +185,6 @@ def _cmd_ablate(args) -> int:
             path: write_parallel(samples, out)
             for path, samples, out in zip(paths, datasets.values(), streams)
         }
-    return 0
 
 
 def _score_entries(args) -> Iterator[tuple[str, str, list]]:
@@ -217,12 +213,11 @@ def _score_entries(args) -> Iterator[tuple[str, str, list]]:
         raise ValueError(f"{args.gold}: cannot score an empty corpus")
 
 
-def _cmd_score(args) -> int:
+def _cmd_score(args) -> None:
     from .scorer import evaluate_corpus, render_report
 
     report = evaluate_corpus(_score_entries(args))
     _emit(args, render_report(report, as_json=args.json))
-    return 0
 
 
 def _positive_int(text: str) -> int:
@@ -362,11 +357,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        args.handler(args)
     # Under -W error the long-pair flag is raised as a Warning.
     except (ValueError, OSError, Warning) as exc:
         print(f"gecclean {args.command}: error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

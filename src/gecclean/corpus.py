@@ -126,14 +126,15 @@ def group_by_source(samples: Iterable[Sample]) -> list[SourceGroup]:
 
     Groups appear in first-appearance order of the source; within a group,
     targets keep first-appearance order and duplicate (source, target)
-    pairs collapse to one.  Holds one entry per unique sentence in memory.
+    pairs collapse to one.  Holds one entry per unique sentence in memory:
+    each target dict is replaced by its group in place.
     """
-    grouped: dict[str, dict[str, None]] = {}
+    grouped: dict[str, dict[str, None] | SourceGroup] = {}
     for source, target in samples:
         grouped.setdefault(source, {})[target] = None
-    return [
-        SourceGroup(source, tuple(targets)) for source, targets in grouped.items()
-    ]
+    for source, targets in grouped.items():
+        grouped[source] = SourceGroup(source, tuple(targets))
+    return list(grouped.values())
 
 
 def filter_groups(
@@ -152,11 +153,11 @@ def filter_groups(
     kept = []
     for group in groups:
         targets = group.targets
-        if drop_correct and all(t == group.source for t in targets):
-            continue
         if drop_identity_targets:
             targets = tuple(t for t in targets if t != group.source)
-        if not targets:
+        elif drop_correct and all(t == group.source for t in targets):
             continue
-        kept.append(group if targets == group.targets else SourceGroup(group.source, targets))
+        if targets:
+            unchanged = len(targets) == len(group.targets)
+            kept.append(group if unchanged else SourceGroup(group.source, targets))
     return kept

@@ -396,44 +396,13 @@ class TestThreads:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
-    def test_cli_import_loads_no_process_pool(self):
-        # --threads starts no processes, so the CLI must not pay for the
-        # process-pool modules on every start.
-        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-        probe = (
-            "import sys, gecclean.cli; print(sorted(m for m in sys.modules"
-            " if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", probe],
-            env=dict(os.environ, PYTHONPATH=path),
-            capture_output=True,
-            text=True,
-            timeout=60,
-            check=True,
-        )
-        assert result.stdout == "[]\n"
-
-    def test_cli_import_loads_no_dataclasses_or_logging(self):
-        # Records are NamedTuples, the long-pair flag is a warning and only
-        # the random draw imports hashlib, so a start pays for none of
-        # these. -S keeps site hooks from importing modules of their own.
-        probe = (
-            "import gecclean.cli, sys; print([m for m in"
-            " ('dataclasses', 'inspect', 'logging', 'hashlib') if m in sys.modules])"
-        )
-        result = subprocess.run(
-            [sys.executable, "-S", "-c", probe],
-            env=dict(os.environ, PYTHONPATH=str(SRC)),
-            capture_output=True,
-            text=True,
-            timeout=60,
-            check=True,
-        )
-        assert result.stdout == "[]\n"
-
     CORE = ["gecclean", "gecclean.cli", "gecclean.corpus", "gecclean.edits",
             "gecclean.m2", "gecclean.textmetrics"]
+    # Standard modules no command needs at start: records are NamedTuples,
+    # the long-pair flag is a warning, --threads starts no processes, and
+    # only a random draw imports hashlib.
+    WATCHED = ("concurrent", "dataclasses", "hashlib", "inspect", "logging",
+               "multiprocessing")
 
     @pytest.mark.parametrize(
         "argv, loaded",
@@ -455,14 +424,20 @@ class TestThreads:
                 CORE + ["gecclean.onetarget"],
             ),
             (
+                ["clean", "in.tsv", "-o", "out.tsv", "--strategy", "random"],
+                CORE + ["gecclean.onetarget", "hashlib"],
+            ),
+            (
                 ["ablate", "in.tsv", "-o", "abl", "--k-min", "2", "--n-values", "1,2"],
-                CORE + ["gecclean.onetarget"],
+                CORE + ["gecclean.onetarget", "hashlib"],
             ),
         ],
         ids=["version", "apply-m2", "to-m2", "score", "stats", "clean", "clean-edi_least",
-             "ablate"],
+             "clean-random", "ablate"],
     )
     def test_each_command_loads_only_its_modules(self, tmp_path, argv, loaded):
+        # Run in a fresh interpreter; -S keeps site hooks from importing
+        # modules of their own.
         write(tmp_path / "in.tsv", TWO_GROUP_TSV)
         assert main(["to-m2", str(tmp_path / "in.tsv"), "-o", str(tmp_path / "gold.m2")]) == 0
         write(tmp_path / "hyp.txt", "abcf\npqr\n")
@@ -473,8 +448,9 @@ class TestThreads:
             "    status = main(sys.argv[1:])\n"
             "except SystemExit as exc:\n"
             "    status = exc.code\n"
-            "print(repr((status, sorted(m for m in sys.modules if m.startswith('gecclean')),"
-            " 'json' in sys.modules)))\n"
+            f"watched = {self.WATCHED!r}\n"
+            "print(repr((status, sorted(m for m in sys.modules if m.startswith('gecclean')"
+            " or m.split('.')[0] in watched), 'json' in sys.modules)))\n"
         )
         result = subprocess.run(
             [sys.executable, "-S", "-c", probe, *argv],
@@ -612,6 +588,36 @@ class TestFormatErrorsNameTheFile:
         hyp = write(tmp_path / "hyp.txt", "ab\ncd\n")
         assert main(["score", "--gold", str(gold), "--hyp", str(hyp)]) == 1
         assert f"{gold}: line 4: block has no 'A' line" in capsys.readouterr().err
+
+
+class TestBlankLines:
+    """Blank and whitespace-only lines and CRLF endings change no output byte."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["clean", "{input}", "-o", "{out}/clean.tsv", "--strategy", "lev_sim"],
+            ["stats", "{input}", "--json", "-o", "{out}/stats.json"],
+            ["to-m2", "{input}", "-o", "{out}/out.m2"],
+            ["ablate", "{input}", "-o", "{out}/abl", "--k-min", "2", "--n-values", "1,2"],
+        ],
+        ids=["clean", "stats", "to-m2", "ablate"],
+    )
+    def test_same_outputs_and_sidecars(self, tmp_path, argv):
+        corpus, out = tmp_path / "in.tsv", tmp_path / "out"
+        out.mkdir()
+        argv = [arg.format(input=corpus, out=out) for arg in argv]
+        fixture = (DATA / "stats_fixture.tsv").read_text(encoding="utf-8")
+        lines = fixture.splitlines()
+        padded = ["", "  \t ", *lines[:4], "", "\t", *lines[4:]]
+        outputs = []
+        for text in (fixture, "".join(line + "\r\n" for line in padded) + "\r\n\r\n   \n"):
+            # The same path both times, since the sidecar records it.
+            write(corpus, text)
+            assert main(argv) == 0
+            outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert len(outputs[0]) >= 2
+        assert outputs[1] == outputs[0]
 
 
 class TestByteOrderMark:

@@ -546,6 +546,15 @@ class TestExtractEdits:
         assert edits == (Edit(5, 6, ""), Edit(8, 8, "。"))
         assert [e.kind for e in edits] == ["U", "M"]
 
+    def test_edits_are_built_through_their_constructor(self):
+        # Edit's replacement check is all that keeps a tab or newline out
+        # of an extracted edit, and so out of an M2 line; a tab that both
+        # sides share is matched, not emitted.
+        for s, t in [("a", "a\tb"), ("ab", "a\nb")]:
+            with pytest.raises(ValueError, match="may not contain tab or newline"):
+                extract_edits(s, t)
+        assert extract_edits("a\tb", "a\tc").edits == (Edit(2, 3, "c"),)
+
     def test_deterministic(self):
         first = extract_edits("abcab", "bacba")
         second = extract_edits("abcab", "bacba")

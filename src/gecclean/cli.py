@@ -122,10 +122,14 @@ def _emit(args, text: str) -> None:
 
 def _cmd_clean(args) -> None:
     from .corpus import write_parallel
-    from .onetarget import SelectionConfig, Strategy, select
+    from .onetarget import SelectionConfig, Strategy, _ranking_key, select
 
-    groups = _read_groups(args)
     config = SelectionConfig(Strategy(args.strategy), args.seed)
+    if config.strategy is not Strategy.RANDOM:
+        # Before the corpus is in memory, so an aligner's compile does not
+        # stack on it.
+        _ranking_key(config.strategy)
+    groups = _read_groups(args)
     with _outputs(args, args.output) as ((out,), counts):
         counts["samples"] = write_parallel((select(group, config) for group in groups), out)
 

@@ -9,11 +9,11 @@ order in which groups are processed.
 from __future__ import annotations
 
 import enum
+import functools
 import random
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .corpus import Sample, SourceGroup
-from .edits import extract_edits
 from .textmetrics import jaccard_similarity, levenshtein_ratio
 
 
@@ -51,15 +51,28 @@ class SelectionConfig(NamedTuple):
     seed: int = 42
 
 
+@functools.cache
+def _ranking_key(strategy: Strategy) -> Callable[[str, str], float | int]:
+    """The function ``(source, target) -> key`` of a deterministic strategy.
+
+    Only the edi_* strategies import the aligner (``gecclean.edits`` and
+    ``gecclean.m2``), once per process; ``clean`` calls this before it
+    reads the corpus, so the aligner's compile does not add to its peak.
+    """
+    if strategy in (Strategy.LEV_SIM, Strategy.LEV_DIS):
+        return levenshtein_ratio
+    if strategy in (Strategy.JAC_SIM, Strategy.JAC_DIS):
+        return jaccard_similarity
+    if strategy in (Strategy.EDI_LEAST, Strategy.EDI_MOST):
+        from .edits import extract_edits
+
+        return lambda source, target: len(extract_edits(source, target).edits)
+    raise ValueError("the random strategy has no ranking key")
+
+
 def score_target(strategy: Strategy, source: str, target: str) -> float | int:
     """Ranking key of a target under a deterministic strategy."""
-    if strategy in (Strategy.LEV_SIM, Strategy.LEV_DIS):
-        return levenshtein_ratio(source, target)
-    if strategy in (Strategy.JAC_SIM, Strategy.JAC_DIS):
-        return jaccard_similarity(source, target)
-    if strategy in (Strategy.EDI_LEAST, Strategy.EDI_MOST):
-        return len(extract_edits(source, target).edits)
-    raise ValueError("the random strategy has no ranking key")
+    return _ranking_key(strategy)(source, target)
 
 
 def _group_rng(seed: int, source: str) -> random.Random:
@@ -92,7 +105,8 @@ def select(group: SourceGroup, config: SelectionConfig) -> Sample:
     if config.strategy is Strategy.RANDOM:
         index = _group_rng(config.seed, group.source).randrange(len(targets))
         return Sample(group.source, targets[index])
-    keys = [score_target(config.strategy, group.source, t) for t in targets]
+    key = _ranking_key(config.strategy)
+    keys = [key(group.source, t) for t in targets]
     pick = max if config.strategy in _ARGMAX else min
     index = pick(range(len(targets)), key=keys.__getitem__)
     return Sample(group.source, targets[index])

@@ -24,13 +24,24 @@ def levenshtein_distance(s: str, t: str) -> int:
     """Unit-cost edit distance between the character sequences of s and t.
 
     Insertions, deletions and substitutions all cost 1; transpositions are
-    not a primitive.  Computed by ``bit_vector_columns`` with the bits on
-    the shorter string: a fixed number of integer operations per character
-    of the longer string, on Python ints of O(len(shorter)) bits, and no
-    column kept.
+    not a primitive.  With s the shorter string, two shapes have a closed
+    form:
+
+    - s inside t costs len(t) - len(s): no alignment costs less than the
+      length difference, and deleting what surrounds s costs exactly that.
+    - A core of s of at most one character c, once the shared prefix and
+      suffix are trimmed, costs len(t') - (c in t') for the core t' of t:
+      len(t') - 1 insertions plus one match or one substitution, or len(t')
+      insertions for an empty core.
+
+    Any other core goes to ``bit_vector_columns`` with the bits on s: a
+    fixed number of integer operations per character of t', on Python ints
+    of O(len(s')) bits, and no column kept.
     """
-    if s == t:
-        return 0
+    if len(s) > len(t):
+        s, t = t, s
+    if s in t:
+        return len(t) - len(s)
     # Shared affixes never change the distance; trimming them keeps the
     # core tiny on the near-identical pairs that dominate GEC corpora.
     prefix, suffix = common_affixes(s, t)
@@ -38,10 +49,8 @@ def levenshtein_distance(s: str, t: str) -> int:
     t = t[prefix : len(t) - suffix]
     if not s:
         return len(t)
-    if not t:
-        return len(s)
-    if len(s) > len(t):
-        s, t = t, s
+    if len(s) == 1:
+        return len(t) - (s in t)
     return bit_vector_columns(s, t, len(s))
 
 

@@ -34,7 +34,10 @@ check the single pass: line order, duplicates, identity targets, bucket
 order and every float's bit pattern.  ``evaluate_sentence_per_edit`` is the
 sentence scorer the package used before an annotation's bounds were checked
 on its last edit alone: it checks every gold edit against the source and
-builds a set of each annotator's edits.
+builds a set of each annotator's edits.  ``levenshtein_distance_by_trim``
+is the distance the package computed before its two closed forms (s inside
+t, and a core of at most one character): every unequal pair has its affixes
+trimmed and, unless a core is empty, runs the package's bit-vector pass.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from gecclean.stats import (
     _CompensatedSum,
     _pair_values,
 )
-from gecclean.textmetrics import levenshtein_ratio
+from gecclean.textmetrics import bit_vector_columns, common_affixes, levenshtein_ratio
 
 STEP_PRIORITY = {"match": 0, "substitute": 1, "delete": 2, "insert": 3}
 
@@ -256,6 +259,22 @@ def levenshtein_distance_dp(s: str, t: str) -> int:
             row[i] = best
             diagonal = above
     return row[-1]
+
+
+def levenshtein_distance_by_trim(s: str, t: str) -> int:
+    """Unit-cost edit distance: the affix trim, then the bit-vector pass."""
+    if s == t:
+        return 0
+    prefix, suffix = common_affixes(s, t)
+    s = s[prefix : len(s) - suffix]
+    t = t[prefix : len(t) - suffix]
+    if not s:
+        return len(t)
+    if not t:
+        return len(s)
+    if len(s) > len(t):
+        s, t = t, s
+    return bit_vector_columns(s, t, len(s))
 
 
 def decode_s_line_by_tokens(remainder: str, line_number: int) -> str:

@@ -398,6 +398,9 @@ class TestThreads:
 
     CORE = ["gecclean", "gecclean.cli", "gecclean.corpus", "gecclean.edits",
             "gecclean.m2", "gecclean.textmetrics"]
+    # Only the edi_* strategies rank with the aligner (edits and m2).
+    SELECT = ["gecclean", "gecclean.cli", "gecclean.corpus", "gecclean.onetarget",
+              "gecclean.textmetrics"]
     # Standard modules no command needs at start: records are NamedTuples,
     # the long-pair flag is a warning, --threads starts no processes, and
     # only a random draw imports hashlib.
@@ -415,21 +418,18 @@ class TestThreads:
             (["to-m2", "in.tsv", "-o", "out.m2"], CORE),
             (["score", "--gold", "gold.m2", "--hyp", "hyp.txt"], CORE + ["gecclean.scorer"]),
             (["stats", "in.tsv"], CORE + ["gecclean.stats"]),
-            (
-                ["clean", "in.tsv", "-o", "out.tsv", "--strategy", "lev_sim"],
-                CORE + ["gecclean.onetarget"],
-            ),
+            (["clean", "in.tsv", "-o", "out.tsv", "--strategy", "lev_sim"], SELECT),
             (
                 ["clean", "in.tsv", "-o", "out.tsv", "--strategy", "edi_least"],
                 CORE + ["gecclean.onetarget"],
             ),
             (
                 ["clean", "in.tsv", "-o", "out.tsv", "--strategy", "random"],
-                CORE + ["gecclean.onetarget", "hashlib"],
+                SELECT + ["hashlib"],
             ),
             (
                 ["ablate", "in.tsv", "-o", "abl", "--k-min", "2", "--n-values", "1,2"],
-                CORE + ["gecclean.onetarget", "hashlib"],
+                SELECT + ["hashlib"],
             ),
         ],
         ids=["version", "apply-m2", "to-m2", "score", "stats", "clean", "clean-edi_least",
@@ -441,8 +441,22 @@ class TestThreads:
         write(tmp_path / "in.tsv", TWO_GROUP_TSV)
         assert main(["to-m2", str(tmp_path / "in.tsv"), "-o", str(tmp_path / "gold.m2")]) == 0
         write(tmp_path / "hyp.txt", "abcf\npqr\n")
+        # Under edi_least the probe also records whether the aligner is
+        # loaded when the corpus is first read: compiling it after the read
+        # would stack its compile on the corpus's peak.
+        ranks_by_aligner = "edi_least" in argv
+        watch_read = (
+            "import gecclean.corpus as corpus\n"
+            "parse = corpus.parse_parallel\n"
+            "def parse_parallel(*args, **kwargs):\n"
+            "    seen.append('gecclean.edits' in sys.modules)\n"
+            "    return parse(*args, **kwargs)\n"
+            "corpus.parse_parallel = parse_parallel\n"
+        )
         probe = (
             "import sys\n"
+            "seen = []\n"
+            f"{watch_read if ranks_by_aligner else ''}"
             "from gecclean.cli import main\n"
             "try:\n"
             "    status = main(sys.argv[1:])\n"
@@ -450,7 +464,7 @@ class TestThreads:
             "    status = exc.code\n"
             f"watched = {self.WATCHED!r}\n"
             "print(repr((status, sorted(m for m in sys.modules if m.startswith('gecclean')"
-            " or m.split('.')[0] in watched), 'json' in sys.modules)))\n"
+            " or m.split('.')[0] in watched), 'json' in sys.modules, seen[:1])))\n"
         )
         result = subprocess.run(
             [sys.executable, "-S", "-c", probe, *argv],
@@ -461,9 +475,11 @@ class TestThreads:
             timeout=60,
             check=True,
         )
-        status, modules, has_json = ast.literal_eval(result.stdout.splitlines()[-1])
+        status, modules, has_json, seen = ast.literal_eval(result.stdout.splitlines()[-1])
         assert status == 0
         assert modules == sorted(loaded)
+        if ranks_by_aligner:
+            assert seen == [True]
         if argv == ["--version"]:
             assert not has_json
 

@@ -10,7 +10,11 @@ from gecclean.textmetrics import (
     levenshtein_distance,
     levenshtein_ratio,
 )
-from oracles import levenshtein_distance_dp, levenshtein_recursive
+from oracles import (
+    levenshtein_distance_by_trim,
+    levenshtein_distance_dp,
+    levenshtein_recursive,
+)
 
 short_text = st.text(alphabet="ab我。", max_size=8)
 
@@ -128,6 +132,57 @@ class TestBitVectorMatchesRowDP:
         assert expected == 5
         assert levenshtein_distance(source, target) == expected
         assert levenshtein_distance(target, source) == expected
+
+
+# Each alphabet's text and single characters, for the shapes that
+# levenshtein_distance answers in closed form.  Random pairs rarely take
+# these shapes, so each test builds them.
+SHAPES = pytest.mark.parametrize(
+    "text, char",
+    [
+        (short_text, st.sampled_from("ab我。")),
+        (st.text(alphabet=WIDE_ALPHABET, max_size=40), st.sampled_from(WIDE_ALPHABET)),
+        (st.text(alphabet=ODD_ALPHABET, max_size=20), st.sampled_from(ODD_ALPHABET)),
+    ],
+    ids=["short", "wide", "odd"],
+)
+
+
+def assert_distance(s, t, expected):
+    for a, b in ((s, t), (t, s)):
+        assert levenshtein_distance(a, b) == expected
+        assert levenshtein_distance_dp(a, b) == expected
+        assert levenshtein_distance_by_trim(a, b) == expected
+
+
+class TestClosedForms:
+    """The containment and short-core shortcuts against the row DP and the
+    trim-then-bit-vector distance they replaced."""
+
+    @SHAPES
+    @given(data=st.data())
+    def test_contained(self, text, char, data):
+        s, u, v = data.draw(text), data.draw(text), data.draw(text)
+        assert_distance(s, u + s + v, len(u) + len(v))
+
+    @SHAPES
+    @given(data=st.data())
+    def test_one_character_core(self, text, char, data):
+        a, b, c = data.draw(text), data.draw(text), data.draw(char)
+        w = data.draw(text)
+        position = data.draw(st.integers(0, len(w)))
+        with_c = w[:position] + c + w[position:]
+        without_c = w.replace(c, "")
+        # len(w) - 1 insertions plus a match, or a substitution for each
+        # character when c is not there (one deletion when w is empty).
+        assert_distance(a + c + b, a + with_c + b, len(with_c) - 1)
+        assert_distance(a + c + b, a + without_c + b, max(len(without_c), 1))
+
+    @SHAPES
+    @given(data=st.data())
+    def test_empty_core(self, text, char, data):
+        a, b, w = data.draw(text), data.draw(text), data.draw(text)
+        assert_distance(a + b, a + w + b, len(w))
 
 
 class TestBandedPass:

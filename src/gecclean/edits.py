@@ -16,13 +16,13 @@ from .m2 import Annotation, Edit, _check_annotator_id
 # Defined in gecclean.m2.  They stay importable from here because the
 # acceptance suite and the bench harness import them from this module.
 from .m2 import apply_edits, parse_m2, read_m2_file, to_m2, write_m2_file  # noqa: F401
-from .textmetrics import DeltaColumn, bit_vector_columns, common_affixes
+from .textmetrics import bit_vector_columns, common_affixes
 
 # Pairs longer than this are still aligned.  Only the core left after the
 # common prefix and suffix is computed, and only its certified band is
 # kept, so a long near pair costs little; but a long dissimilar pair still
-# costs time in proportion to length x length and about length x length / 2
-# bytes of delta bits, so flag long pairs for batch callers to notice.
+# costs time in proportion to length x length and about length x length / 4
+# bytes of column bits, so flag long pairs for batch callers to notice.
 ALIGN_LENGTH_FLAG = 512
 
 # The band extract_edits tries first: this many diagonals either side of
@@ -67,16 +67,18 @@ def extract_edits(s: str, t: str, annotator_id: int = 0) -> Annotation:
     distance matrix would take, breaking ties match > substitute > delete
     > insert, but only the core left after the common prefix and suffix
     are trimmed is computed, and of the core of lengths m', n' only a band
-    of diagonals: a bit-vector pass (``bit_vector_columns``) keeps the
-    delta vectors of each column in a window of as many bits as the band
-    has diagonals, and the backtrace reads them (Hyyrö 2004).  The first
-    band is ``_FIRST_BAND`` diagonals either side of the corners' ones.
-    If the distance does not fit it, the value that pass returns certifies
-    a wider band (Ukkonen 1985), and one more pass computes that.  A near
+    of diagonals: a bit-vector pass (``bit_vector_columns``) keeps two bit
+    vectors of each column in a window of as many bits as the band has
+    diagonals (Hyyrö 2004).  A step off a match reads one bit of each: the
+    diagonal if D(i-1, j-1) is not D(i, j), else up if D(i-1, j) is
+    D(i, j) - 1, else left.  The first band is ``_FIRST_BAND`` diagonals
+    either side of the corners' ones.  If the distance does not fit it,
+    the value that pass returns certifies a wider band (Ukkonen 1985), and
+    one more pass computes that.  A near
     core keeps O(n') bytes and costs O(n') operations on integers of a few
     words, besides one shift of an m'-bit mask per column; a dissimilar
     one costs O(m' * n' / w) operations on w-bit words and about
-    m' * n' / 2 bytes.  The backtrace walks neither the common suffix nor
+    m' * n' / 4 bytes.  The backtrace walks neither the common suffix nor
     the matched prefix, and keeps no step list.
     """
     m, n = len(s), len(t)
@@ -111,67 +113,59 @@ def extract_edits(s: str, t: str, annotator_id: int = 0) -> Annotation:
         gap = j - i
         p = _FIRST_BAND
         while True:
-            columns: list[DeltaColumn] = []
+            columns: list[tuple[int, int]] = []
             khi = max(0, gap) + p
             here = bit_vector_columns(core_s, core_t, p, columns)
             if here <= abs(gap) + 2 * p + 1:
                 break
             p = (here - abs(gap)) // 2
 
-    # Backtrace from (i, j), the last cell before the suffix, to the
+    # Backtrace from (i, j), the last cell before the suffix, toward the
     # origin; end is the cell after the run being walked, None on a match.
-    # In the core, with here = D(i, j):
-    #   D(i-1, j)   = D(i, j) - (vertical delta at row i of column j)
-    #   D(i-1, j-1) = D(i-1, j) - (horizontal delta at row i-1 of column j)
-    # Both deltas sit at core bit i-1 of column j, less the column's window
-    # offset.  The path's own cells hold the full matrix's values, and a
-    # neighbour the full matrix would not step to holds a value no lower
-    # than its own, so every decision is the full matrix's.
+    # A match never costs: D(i-1, j-1) = D(i, j) when s[i-1] == t[j-1].
+    # Otherwise every step lowers D by exactly 1, so no running distance
+    # is needed.  In the core, column j's bits at row i (core bit i-1, less
+    # the column's window offset) decide the step: the diagonal when the
+    # d0 bit is clear (D(i-1, j-1) = D(i, j) - 1), else up when the pv bit
+    # is set (D(i-1, j) = D(i, j) - 1), else left.  That is the tie-break
+    # match > substitute > delete > insert.  The path's own cells hold the
+    # full matrix's values, and a neighbour the full matrix would not step
+    # to holds a value no lower than its own, so every decision is the
+    # full matrix's.
     # Out of the core, min(i, j) <= prefix, so one of s[:i] and t[:j] is a
     # prefix of the other and D(i, j) = |i - j|: no matrix is needed.  A
     # substitution there never ties (D(i-1, j-1) + 1 > D(i, j)), so the
-    # full matrix's backtrace takes a match when the characters agree and
-    # otherwise steps along the longer string, deleting if i > j and
-    # inserting if i < j; once i == j, the rest is matches.
+    # full matrix's backtrace steps along the longer string, deleting if
+    # i > j and inserting if i < j; once i == j, the rest is matches.
     edits: list[Edit] = []
     end: tuple[int, int] | None = None
-    while True:
+    while i > prefix and j > prefix or i != j:
+        if i and j and s[i - 1] == t[j - 1]:
+            if end is not None:
+                edits.append(Edit(i, end[0], t[j : end[1]]))
+                end = None
+            i -= 1
+            j -= 1
+            continue
+        if end is None:
+            end = i, j
         if i > prefix and j > prefix:
-            if s[i - 1] != t[j - 1]:
-                if end is None:
-                    end = i, j
-                pv, mv, ph, mh = columns[j - first]
-                bit = i - first
-                if j - first > khi:
-                    bit -= j - first - khi
-                up = here - ((pv >> bit) & 1) + ((mv >> bit) & 1)
-                diag = up - ((ph >> bit) & 1) + ((mh >> bit) & 1)
-                if diag + 1 == here:
-                    i -= 1
-                    j -= 1
-                    here = diag
-                elif up + 1 == here:
-                    i -= 1
-                    here = up
-                else:
-                    j -= 1
-                    here -= 1
-                continue
-        elif i == j:
-            break
-        elif not (i and j and s[i - 1] == t[j - 1]):
-            if end is None:
-                end = i, j
-            if i > j:
+            c = j - first
+            pv, d0 = columns[c]
+            bit = i - first
+            if c > khi:
+                bit -= c - khi
+            if not (d0 >> bit) & 1:
+                i -= 1
+                j -= 1
+            elif (pv >> bit) & 1:
                 i -= 1
             else:
                 j -= 1
-            continue
-        if end is not None:
-            edits.append(Edit(i, end[0], t[j : end[1]]))
-            end = None
-        i -= 1
-        j -= 1
+        elif i > j:
+            i -= 1
+        else:
+            j -= 1
     if end is not None:
         edits.append(Edit(i, end[0], t[j : end[1]]))
     edits.reverse()

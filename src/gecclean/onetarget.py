@@ -70,11 +70,6 @@ def _ranking_key(strategy: Strategy) -> Callable[[str, str], float | int]:
     raise ValueError("the random strategy has no ranking key")
 
 
-def score_target(strategy: Strategy, source: str, target: str) -> float | int:
-    """Ranking key of a target under a deterministic strategy."""
-    return _ranking_key(strategy)(source, target)
-
-
 def _group_rng(seed: int, source: str) -> random.Random:
     # Keyed digest of the source text: every group gets its own stream,
     # independent of processing order, so a group's choice does not depend

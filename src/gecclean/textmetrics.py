@@ -54,14 +54,11 @@ def levenshtein_distance(s: str, t: str) -> int:
     return bit_vector_columns(s, t, len(s))
 
 
-DeltaColumn = tuple[int, int, int, int]
-
-
 def bit_vector_columns(
     s: str,
     t: str,
     p: int,
-    columns: list[DeltaColumn] | None = None,
+    columns: list[tuple[int, int]] | None = None,
 ) -> int:
     """D(len(s), len(t)) of the unit-cost DP matrix D(i, j) of s against t.
 
@@ -83,10 +80,10 @@ def bit_vector_columns(
     diagonal step from the cell above.  With len(s) <= len(t), p = len(s)
     holds every diagonal: its window is all of s and never slides.
 
-    Given ``columns``, it appends for each column j = 1..len(t) the delta
-    vectors ``(pv, mv, ph, mh)`` that a backtrace needs: bit i-1-lo of pv
-    (mv) is set where D(i, j) - D(i-1, j) is +1 (-1), and bit r-lo of ph
-    (mh) where D(r, j) - D(r, j-1) is +1 (-1).
+    Given ``columns``, it appends for each column j = 1..len(t) the two
+    windows ``(pv, d0)`` that a backtrace reads: bit i-1-lo of pv is set
+    where D(i, j) - D(i-1, j) = 1, and the same bit of d0 where
+    D(i, j) = D(i-1, j-1) (Hyyrö's diagonal zero vector).
     """
     m = len(s)
     # Bit i of peq[c] is set when s[i] == c.
@@ -126,7 +123,7 @@ def bit_vector_columns(
         pv = (mh | ~(xv | ph)) & mask
         mv = ph & xv
         if push:
-            push((pv, mv, ph, mh))
+            push((pv, xv | mh))
     # D(m, n) is D(lo, n) plus the vertical deltas of rows lo+1..m.
     if low > 0:
         rows = (1 << (m - low)) - 1

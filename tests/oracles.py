@@ -8,7 +8,9 @@ before it switched to a banded fill and then to a backtrace over
 bit-vector deltas, and ``levenshtein_distance_dp`` is the row DP the
 package used before its bit-vector kernel; the last two are kept as the
 references for long pairs.  ``align_full_matrix`` checks the package's
-aligner, which keeps the bit-vector deltas of only a band of diagonals.
+aligner, which keeps two bit vectors of each column of only a band of
+diagonals; ``distance_matrix``, the matrix it backtraces over, checks what
+each of those columns holds.
 ``merge_path`` is the forward walk over a per-character path that
 ``extract_edits`` used before its backtrace emitted merged edits.
 ``decode_s_line_by_tokens`` is the M2 S-line decoder the package used
@@ -43,7 +45,6 @@ trimmed and, unless a core is empty, runs the package's bit-vector pass.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 from typing import Sequence
 
 from gecclean.corpus import read_lines
@@ -76,20 +77,6 @@ def levenshtein_recursive(a: str, b: str) -> int:
         levenshtein_recursive(a[1:], b) + 1,
         levenshtein_recursive(a, b[1:]) + 1,
     )
-
-
-def levenshtein_ratio_fraction(a: str, b: str) -> Fraction:
-    total = len(a) + len(b)
-    if total == 0:
-        return Fraction(1)
-    return Fraction(total - levenshtein_recursive(a, b), total)
-
-
-def jaccard_fraction(a: str, b: str) -> Fraction:
-    sa, sb = set(a), set(b)
-    if not sa and not sb:
-        return Fraction(1)
-    return Fraction(len(sa & sb), len(sa | sb))
 
 
 def all_min_cost_paths(s: str, t: str) -> list[tuple[str, ...]]:
@@ -142,12 +129,8 @@ def canonical_min_path(s: str, t: str) -> tuple[str, ...]:
     )
 
 
-def align_full_matrix(s: str, t: str) -> list[str]:
-    """Backtrace over the full (m+1) x (n+1) distance matrix.
-
-    Ties are broken match > substitute > delete > insert, walking back from
-    (m, n).  Time and memory grow with m * n.
-    """
+def distance_matrix(s: str, t: str) -> list[list[int]]:
+    """The full (m+1) x (n+1) unit-cost matrix: row i, column j is D(i, j)."""
     m, n = len(s), len(t)
     dist = [list(range(n + 1))]
     for i in range(1, m + 1):
@@ -164,9 +147,18 @@ def align_full_matrix(s: str, t: str) -> list[str]:
                 best = up
             row[j] = best
         dist.append(row)
+    return dist
 
+
+def align_full_matrix(s: str, t: str) -> list[str]:
+    """Backtrace over the full (m+1) x (n+1) distance matrix.
+
+    Ties are broken match > substitute > delete > insert, walking back from
+    (m, n).  Time and memory grow with m * n.
+    """
+    dist = distance_matrix(s, t)
     path: list[str] = []
-    i, j = m, n
+    i, j = len(s), len(t)
     while i or j:
         here = dist[i][j]
         if i and j and s[i - 1] == t[j - 1] and dist[i - 1][j - 1] == here:

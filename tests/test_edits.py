@@ -392,13 +392,14 @@ class TestBandedAlignMatchesFullMatrix:
 
     @long_pairs
     def test_long_dissimilar_pair_needs_little_memory(self):
-        # A full matrix of boxed ints for this pair takes ~345 MB; the delta
-        # bits of its band take about 3000 * (2p + 1) / 2 bytes.
+        # A full matrix of boxed ints for this pair takes ~345 MB; the two
+        # bit vectors of each column of its band take about
+        # 3000 * (2p + 1) / 4 bytes.
         rng = random.Random(3000)
         source = "".join(rng.choices(WIDE_ALPHABET, k=3000))
         target = "".join(rng.choices(WIDE_ALPHABET, k=3000))
         path, peak = traced_align(source, target)
-        assert peak < 16_000_000
+        assert peak < 3_500_000
         assert sum(step != "match" for step in path) == levenshtein_distance(source, target)
         # A first band as wide as the core computes it in one pass of
         # whole columns, with no window sliding; the path is the same.
@@ -408,8 +409,9 @@ class TestBandedAlignMatchesFullMatrix:
     @long_pairs
     def test_long_near_core_keeps_only_its_band(self, monkeypatch):
         # Edits at both ends leave a 6000 x 6000 core, whose whole columns
-        # would take ~20 MB; its distance fits its first band, so one pass
-        # over windows of 2p + 1 bits computes it.
+        # would take ~10 MB; its distance fits its first band, so one pass
+        # over windows of 2p + 1 bits computes it, keeping two small ints a
+        # column.
         rng = random.Random(6000)
         source = "".join(rng.choices(WIDE_ALPHABET, k=6000))
         target = "X" + source[1:-1] + "Y"
@@ -417,7 +419,7 @@ class TestBandedAlignMatchesFullMatrix:
         path, peak = traced_align(source, target)
         p = edits._FIRST_BAND
         assert calls == [(6000, 6000, p)]
-        assert peak < 4_000_000
+        assert peak < 1_000_000
         assert extract_edits(source, target).edits == (
             Edit(0, 1, "X"),
             Edit(5999, 6000, "Y"),

@@ -2,18 +2,35 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gecclean.corpus import Sample, SourceGroup
+from gecclean.edits import extract_edits
 from gecclean.onetarget import (
     SelectionConfig,
     Strategy,
+    _ranking_key,
     build_ablation,
     clean_corpus,
-    score_target,
     select,
 )
+from gecclean.textmetrics import jaccard_similarity, levenshtein_ratio
 
 TABLE_GROUP = SourceGroup("我能胜任这此职务", ("我能胜任这职务。", "我能胜任此职务。"))
 
 DETERMINISTIC = [s for s in Strategy if s is not Strategy.RANDOM]
+
+
+def edit_count(source, target):
+    return len(extract_edits(source, target).edits)
+
+
+# Each deterministic strategy's ranking key, computed without onetarget.
+KEYS = {
+    Strategy.LEV_SIM: levenshtein_ratio,
+    Strategy.LEV_DIS: levenshtein_ratio,
+    Strategy.JAC_SIM: jaccard_similarity,
+    Strategy.JAC_DIS: jaccard_similarity,
+    Strategy.EDI_LEAST: edit_count,
+    Strategy.EDI_MOST: edit_count,
+}
 
 
 class TestStrategyParsing:
@@ -41,20 +58,20 @@ class TestStrategyParsing:
 
 
 class TestScoreTarget:
+    """The ranking key of each deterministic strategy, and none for random."""
+
     def test_levenshtein_key(self):
-        assert score_target(Strategy.LEV_SIM, "abcd", "abcf") == pytest.approx(7 / 8)
+        assert levenshtein_ratio("abcd", "abcf") == pytest.approx(7 / 8)
 
     def test_edit_count_key_on_identity(self):
-        assert score_target(Strategy.EDI_LEAST, "abc", "abc") == 0
+        assert edit_count("abc", "abc") == 0
 
     def test_jaccard_key(self):
-        assert score_target(
-            Strategy.JAC_SIM, "我能胜任这此职务", "我能胜任这职务。"
-        ) == pytest.approx(7 / 9)
+        assert jaccard_similarity("我能胜任这此职务", "我能胜任这职务。") == pytest.approx(7 / 9)
 
     def test_random_has_no_key(self):
-        with pytest.raises(ValueError):
-            score_target(Strategy.RANDOM, "a", "b")
+        with pytest.raises(ValueError, match="random strategy has no ranking key"):
+            _ranking_key(Strategy.RANDOM)
 
 
 class TestSelect:
@@ -123,12 +140,12 @@ class TestSelect:
         group = SourceGroup(source, tuple(targets))
         for strategy in (Strategy.LEV_SIM, Strategy.JAC_SIM, Strategy.EDI_MOST):
             picked = select(group, SelectionConfig(strategy))
-            keys = [score_target(strategy, source, t) for t in targets]
-            assert score_target(strategy, source, picked.target) == max(keys)
+            keys = [KEYS[strategy](source, t) for t in targets]
+            assert KEYS[strategy](source, picked.target) == max(keys)
         for strategy in (Strategy.LEV_DIS, Strategy.JAC_DIS, Strategy.EDI_LEAST):
             picked = select(group, SelectionConfig(strategy))
-            keys = [score_target(strategy, source, t) for t in targets]
-            assert score_target(strategy, source, picked.target) == min(keys)
+            keys = [KEYS[strategy](source, t) for t in targets]
+            assert KEYS[strategy](source, picked.target) == min(keys)
 
     def test_duality_on_distinct_keys(self):
         # Ranking keys differ pairwise: ratios 11/12 vs 10/12, Jaccard 5/7

@@ -11,6 +11,7 @@ from gecclean.textmetrics import (
     levenshtein_ratio,
 )
 from oracles import (
+    distance_matrix,
     levenshtein_distance_by_trim,
     levenshtein_distance_dp,
     levenshtein_recursive,
@@ -221,6 +222,24 @@ class TestBandedPass:
         columns = []
         assert bit_vector_columns(s, t, p, columns) == d
         assert len(columns) == len(t)
+
+    @given(
+        st.text(alphabet="ab我", min_size=1, max_size=40),
+        st.text(alphabet="ab我", min_size=1, max_size=40),
+    )
+    @settings(max_examples=200)
+    def test_columns_hold_pv_and_d0(self, s, t):
+        # p = len(s) keeps whole columns that never slide, so bit i-1 of
+        # column j is row i.
+        dist = distance_matrix(s, t)
+        columns = []
+        bit_vector_columns(s, t, len(s), columns)
+        assert len(columns) == len(t)
+        for j, (pv, d0) in enumerate(columns, 1):
+            for i in range(1, len(s) + 1):
+                here = dist[i][j]
+                assert bool(pv >> (i - 1) & 1) == (here - dist[i - 1][j] == 1)
+                assert bool(d0 >> (i - 1) & 1) == (here == dist[i - 1][j - 1])
 
 
 class TestLevenshteinRatio:

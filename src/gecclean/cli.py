@@ -2,8 +2,8 @@
 
 Every command is deterministic: the same configuration and inputs produce
 byte-identical outputs.  File-writing commands record their configuration
-in a ``<output>.meta.json`` sidecar, and write it and every output in full
-before any of them replaces its path.
+in a ``<output>.meta.json`` sidecar, and close it and every output before
+any replaces its path: the outputs in order, then the sidecar.
 
 Each handler imports the library modules its command calls, so a run
 compiles and executes only those: ``--version`` and ``--help`` load none.
@@ -54,34 +54,6 @@ def _read_groups(args) -> list:
     return groups
 
 
-@contextlib.contextmanager
-def _atomic_write(path: str) -> Iterator[IO[str]]:
-    """Open a text stream whose content replaces ``path`` once complete.
-
-    The text goes to a temporary file in the same directory, which
-    ``os.replace`` renames over ``path`` when the block ends without an
-    error. On an error the temporary file is removed and any previous
-    ``path`` is left as it was.
-    """
-    temp = f"{path}.{os.getpid()}.tmp"
-    try:
-        out = open(temp, "w", encoding="utf-8", newline="\n")
-    except OSError as exc:
-        # Name the path the user asked for, not the temporary one.
-        raise OSError(exc.errno, exc.strerror, path) from None
-    try:
-        with out:
-            yield out
-        try:
-            os.replace(temp, path)
-        except OSError as exc:
-            raise OSError(exc.errno, exc.strerror, path) from None
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(temp)
-        raise
-
-
 # How much of a sentence an error message quotes.
 _SHOWN_CHARS = 40
 
@@ -96,20 +68,44 @@ def _outputs(args, *paths: str) -> Iterator[tuple[list[IO[str]], dict]]:
 
     The ``<output>.meta.json`` sidecar records every parsed argument outside
     ``_NOT_CONFIG``, plus the counts, so a new option is recorded without
-    further code.  Every output and the sidecar are written in full before
-    any replaces its path.  The sidecar is opened and renamed last, so an
-    unwritable output is named first, and a failed output rename keeps it.
+    further code.  Each file is written to ``<path>.<pid>.tmp``: the outputs'
+    are opened in order, then the sidecar's, so an unwritable output is
+    named first.  After the body, the outputs are closed, then the sidecar
+    is written and closed, and only then is each renamed over its path, the
+    sidecar last.  On an error every temporary file is removed; an
+    ``OSError`` from opening, closing or renaming a file names its path.
     """
     import json
 
     config = {key: value for key, value in vars(args).items() if key not in _NOT_CONFIG}
     meta = dict(tool="gecclean", version=__version__, command=args.command, config=config)
-    with contextlib.ExitStack() as last:
-        with contextlib.ExitStack() as first:
-            streams = [first.enter_context(_atomic_write(path)) for path in paths]
-            sidecar = last.enter_context(_atomic_write(f"{args.output}.meta.json"))
-            yield streams, config
-            sidecar.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    paths = (*paths, f"{args.output}.meta.json")
+    temps = [f"{path}.{os.getpid()}.tmp" for path in paths]
+    streams: list[IO[str]] = []
+    path = None  # the file an OSError names; None while the body writes
+    try:
+        for path, temp in zip(paths, temps):
+            streams.append(open(temp, "w", encoding="utf-8", newline="\n"))
+        path = None
+        *outputs, sidecar = streams
+        yield outputs, config
+        for path, out in zip(paths, outputs):
+            out.close()
+        path = paths[-1]
+        sidecar.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+        sidecar.close()
+        for path, temp in zip(paths, temps):
+            os.replace(temp, path)
+    except BaseException as exc:
+        for stream in streams:
+            with contextlib.suppress(OSError):
+                stream.close()
+        for temp in temps[: len(streams)]:
+            with contextlib.suppress(OSError):
+                os.remove(temp)
+        if path is not None and isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from None
+        raise
 
 
 def _emit(args, text: str) -> None:

@@ -113,7 +113,7 @@ def extract_edits(s: str, t: str, annotator_id: int = 0) -> Annotation:
         gap = j - i
         p = _FIRST_BAND
         while True:
-            columns: list[tuple[int, int]] = []
+            columns: list[int] = []
             khi = max(0, gap) + p
             here = bit_vector_columns(core_s, core_t, p, columns)
             if here <= abs(gap) + 2 * p + 1:
@@ -125,7 +125,8 @@ def extract_edits(s: str, t: str, annotator_id: int = 0) -> Annotation:
     # A match never costs: D(i-1, j-1) = D(i, j) when s[i-1] == t[j-1].
     # Otherwise every step lowers D by exactly 1, so no running distance
     # is needed.  In the core, column j's bits at row i (core bit i-1, less
-    # the column's window offset) decide the step: the diagonal when the
+    # the column's window offset; core column c keeps pv at columns[2c] and
+    # d0 at columns[2c + 1]) decide the step: the diagonal when the
     # d0 bit is clear (D(i-1, j-1) = D(i, j) - 1), else up when the pv bit
     # is set (D(i-1, j) = D(i, j) - 1), else left.  That is the tie-break
     # match > substitute > delete > insert.  The path's own cells hold the
@@ -151,14 +152,13 @@ def extract_edits(s: str, t: str, annotator_id: int = 0) -> Annotation:
             end = i, j
         if i > prefix and j > prefix:
             c = j - first
-            pv, d0 = columns[c]
             bit = i - first
             if c > khi:
                 bit -= c - khi
-            if not (d0 >> bit) & 1:
+            if not (columns[2 * c + 1] >> bit) & 1:
                 i -= 1
                 j -= 1
-            elif (pv >> bit) & 1:
+            elif (columns[2 * c] >> bit) & 1:
                 i -= 1
             else:
                 j -= 1

@@ -58,7 +58,7 @@ def bit_vector_columns(
     s: str,
     t: str,
     p: int,
-    columns: list[tuple[int, int]] | None = None,
+    columns: list[int] | None = None,
 ) -> int:
     """D(len(s), len(t)) of the unit-cost DP matrix D(i, j) of s against t.
 
@@ -80,9 +80,9 @@ def bit_vector_columns(
     diagonal step from the cell above.  With len(s) <= len(t), p = len(s)
     holds every diagonal: its window is all of s and never slides.
 
-    Given ``columns``, it appends for each column j = 1..len(t) the two
-    windows ``(pv, d0)`` that a backtrace reads: bit i-1-lo of pv is set
-    where D(i, j) - D(i-1, j) = 1, and the same bit of d0 where
+    Given ``columns``, a flat list, it appends for each column j = 1..len(t)
+    the two windows a backtrace reads, pv and then d0: bit i-1-lo of pv is
+    set where D(i, j) - D(i-1, j) = 1, and the same bit of d0 where
     D(i, j) = D(i-1, j-1) (Hyyrö's diagonal zero vector).
     """
     m = len(s)
@@ -123,7 +123,8 @@ def bit_vector_columns(
         pv = (mh | ~(xv | ph)) & mask
         mv = ph & xv
         if push:
-            push((pv, xv | mh))
+            push(pv)
+            push(xv | mh)
     # D(m, n) is D(lo, n) plus the vertical deltas of rows lo+1..m.
     if low > 0:
         rows = (1 << (m - low)) - 1

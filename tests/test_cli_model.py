@@ -389,6 +389,86 @@ def test_failed_output_rename_keeps_the_sidecar(tmp_path, monkeypatch, command):
     assert_rerun_changes_both(tmp_path, argv, before)
 
 
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+def fill_disk(work: Path, name: str) -> None:
+    """Point the run's temporary file for ``name`` at /dev/full, so the
+    flush of its last bytes fails with ENOSPC."""
+    (work / f"{name}.{os.getpid()}.tmp").symlink_to("/dev/full")
+
+
+def assert_failed_cleanly(work: Path, err: str, name: str, before: dict[str, bytes]) -> None:
+    """A failed run named ``name`` in its error, left no temporary file
+    (checked before the snapshot reads a link to /dev/full, which never
+    ends) and changed no file."""
+    assert f"No space left on device: '{work / name}'" in err
+    assert not list(work.glob("*.tmp"))
+    assert snapshot(work) == before
+
+
+@needs_dev_full
+@pytest.mark.parametrize("victim", ["output", "sidecar"])
+@pytest.mark.parametrize("command", SIDECAR_COMMANDS)
+def test_full_disk_replaces_nothing(tmp_path, capsys, command, victim):
+    """A run whose output or sidecar cannot be written out exits 1 before
+    any rename, and the error names that file."""
+    argv = rerun_argv(tmp_path, command)
+    before = snapshot(tmp_path)
+    name = "out.n1.tsv" if command == "ablate" else "out"
+    if victim == "sidecar":
+        name = "out.meta.json"
+    fill_disk(tmp_path, name)
+    assert main(argv) == 1
+    assert_failed_cleanly(tmp_path, capsys.readouterr().err, name, before)
+    assert_rerun_changes_both(tmp_path, argv, before)
+
+
+def ablate_rerun(work: Path) -> list[str]:
+    """Run ``ablate`` over one group of three targets, then change the
+    group; the returned rerun changes every output and the sidecar."""
+    corpus = work / "in.tsv"
+    argv = ["ablate", str(corpus), "-o", str(work / "out"), "--k-min", "3", "--n-values", "1,2,3"]
+    corpus.write_bytes(b"abcdef\tabcxef\nabcdef\tabc\nabcdef\txbcdey\n")
+    assert main(argv) == 0
+    corpus.write_bytes(b"pqrs\tpqr\npqrs\tpqrst\npqrs\tqrs\n")
+    return argv + ["--seed", "7"]
+
+
+def test_ablate_renames_complete_files_in_order(tmp_path, monkeypatch):
+    """Every file holds its final bytes before the first rename; the
+    outputs are renamed by N, and the sidecar last."""
+    argv = ablate_rerun(tmp_path)
+    before = snapshot(tmp_path)
+    replace = os.replace
+    renamed: list[str] = []
+    held: dict[str, bytes] = {}
+
+    def recording_replace(src, dst):
+        if not renamed:
+            held.update((path.name, path.read_bytes()) for path in tmp_path.glob("*.tmp"))
+        renamed.append(Path(dst).name)
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", recording_replace)
+    assert main(argv) == 0
+    assert renamed == ["out.n1.tsv", "out.n2.tsv", "out.n3.tsv", "out.meta.json"]
+    after = snapshot(tmp_path)
+    assert held == {f"{name}.{os.getpid()}.tmp": after[name] for name in renamed}
+    assert all(after[name] != before[name] for name in renamed)
+    assert json.loads(after["out.meta.json"])["config"]["seed"] == 7
+
+
+@needs_dev_full
+def test_ablate_full_disk_on_its_first_output_replaces_nothing(tmp_path, capsys):
+    """The outputs renamed after the one that fails are not replaced either."""
+    argv = ablate_rerun(tmp_path)
+    before = snapshot(tmp_path)
+    fill_disk(tmp_path, "out.n1.tsv")
+    assert main(argv) == 1
+    assert_failed_cleanly(tmp_path, capsys.readouterr().err, "out.n1.tsv", before)
+
+
 def read_lines_of(path: str) -> list[str]:
     text = Path(path).read_bytes().decode("utf-8")
     assert text == "" or text.endswith("\n")

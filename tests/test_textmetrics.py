@@ -221,7 +221,7 @@ class TestBandedPass:
         p = (d - abs(gap)) // 2
         columns = []
         assert bit_vector_columns(s, t, p, columns) == d
-        assert len(columns) == len(t)
+        assert len(columns) == 2 * len(t)
 
     @given(
         st.text(alphabet="ab我", min_size=1, max_size=40),
@@ -234,8 +234,8 @@ class TestBandedPass:
         dist = distance_matrix(s, t)
         columns = []
         bit_vector_columns(s, t, len(s), columns)
-        assert len(columns) == len(t)
-        for j, (pv, d0) in enumerate(columns, 1):
+        assert len(columns) == 2 * len(t)
+        for j, (pv, d0) in enumerate(zip(columns[::2], columns[1::2]), 1):
             for i in range(1, len(s) + 1):
                 here = dist[i][j]
                 assert bool(pv >> (i - 1) & 1) == (here - dist[i - 1][j] == 1)

@@ -25,8 +25,9 @@ def _read(path: str, parse, **options) -> Iterator:
     """Yield what ``parse(stream, **options)`` reads from ``path``, opened ``"rb"``.
 
     A bad line of any input raises ``ParallelFormatError`` with the line
-    only; the message becomes ``<path>: line N: ...``.  Every input file is
-    read through here, so each input error names its file the same way.
+    only; the message becomes ``<path>: line N: ...``, and a read error that
+    names no file names ``path``.  Every input file is read through here, so
+    each input error names its file the same way.
     """
     from .corpus import ParallelFormatError
 
@@ -35,6 +36,10 @@ def _read(path: str, parse, **options) -> Iterator:
             yield from parse(stream, **options)
         except ParallelFormatError as exc:
             raise ValueError(f"{path}: {exc}") from exc
+        except OSError as exc:
+            if exc.filename is not None:
+                raise
+            raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def _read_samples(args) -> Iterator:
@@ -44,13 +49,12 @@ def _read_samples(args) -> Iterator:
 
 
 def _read_groups(args) -> list:
+    """The input's source groups, less what ``--drop-correct`` drops if given."""
     from .corpus import filter_groups, group_by_source
 
     groups = group_by_source(_read_samples(args))
     if getattr(args, "drop_correct", False):
-        # With the identity targets gone, every fully grammatical source
-        # is an empty group, which filter_groups drops.
-        groups = filter_groups(groups, drop_identity_targets=True)
+        groups = filter_groups(groups, drop_correct=True)
     return groups
 
 
@@ -63,8 +67,8 @@ _NOT_CONFIG = frozenset({"command", "handler", "output", "threads"})
 
 
 @contextlib.contextmanager
-def _outputs(args, *paths: str) -> Iterator[tuple[list[IO[str]], dict]]:
-    """Yield a stream for each of ``paths`` and a dict that takes the sidecar's counts.
+def _outputs(args, *paths: str) -> Iterator[tuple[Iterator[IO[str]], dict]]:
+    """Yield an iterator over the streams of ``paths`` and a dict for the sidecar's counts.
 
     The ``<output>.meta.json`` sidecar records every parsed argument outside
     ``_NOT_CONFIG``, plus the counts, so a new option is recorded without
@@ -72,8 +76,10 @@ def _outputs(args, *paths: str) -> Iterator[tuple[list[IO[str]], dict]]:
     are opened in order, then the sidecar's, so an unwritable output is
     named first.  After the body, the outputs are closed, then the sidecar
     is written and closed, and only then is each renamed over its path, the
-    sidecar last.  On an error every temporary file is removed; an
-    ``OSError`` from opening, closing or renaming a file names its path.
+    sidecar last.  On an error every temporary file is removed, and an
+    ``OSError`` that names no file or a temporary one is re-raised with the
+    path of the file being opened, written, closed or renamed; the body
+    writes the output whose stream it took last.
     """
     import json
 
@@ -82,13 +88,20 @@ def _outputs(args, *paths: str) -> Iterator[tuple[list[IO[str]], dict]]:
     paths = (*paths, f"{args.output}.meta.json")
     temps = [f"{path}.{os.getpid()}.tmp" for path in paths]
     streams: list[IO[str]] = []
-    path = None  # the file an OSError names; None while the body writes
+    path = None  # the file an OSError names
+
+    def hand_out() -> Iterator[IO[str]]:
+        # ``path`` follows the outputs as the body takes them.
+        nonlocal path
+        for path, out in zip(paths, outputs):
+            yield out
+
     try:
         for path, temp in zip(paths, temps):
             streams.append(open(temp, "w", encoding="utf-8", newline="\n"))
         path = None
         *outputs, sidecar = streams
-        yield outputs, config
+        yield hand_out(), config
         for path, out in zip(paths, outputs):
             out.close()
         path = paths[-1]
@@ -103,7 +116,7 @@ def _outputs(args, *paths: str) -> Iterator[tuple[list[IO[str]], dict]]:
         for temp in temps[: len(streams)]:
             with contextlib.suppress(OSError):
                 os.remove(temp)
-        if path is not None and isinstance(exc, OSError):
+        if isinstance(exc, OSError) and path is not None and exc.filename in (None, *temps):
             raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
@@ -118,13 +131,12 @@ def _emit(args, text: str) -> None:
 
 def _cmd_clean(args) -> None:
     from .corpus import write_parallel
-    from .onetarget import SelectionConfig, Strategy, _ranking_key, select
+    from .onetarget import SelectionConfig, Strategy, _ranking, select
 
     config = SelectionConfig(Strategy(args.strategy), args.seed)
-    if config.strategy is not Strategy.RANDOM:
-        # Before the corpus is in memory, so an aligner's compile does not
-        # stack on it.
-        _ranking_key(config.strategy)
+    # Before the corpus is in memory, so an aligner's compile does not
+    # stack on it.
+    _ranking(config.strategy)
     groups = _read_groups(args)
     with _outputs(args, args.output) as ((out,), counts):
         counts["samples"] = write_parallel((select(group, config) for group in groups), out)

@@ -142,21 +142,19 @@ def filter_groups(
     drop_correct: bool = False,
     drop_identity_targets: bool = False,
 ) -> list[SourceGroup]:
-    """Apply the grammatical-source filters, preserving group order.
+    """The groups ``--drop-correct`` keeps, in order.
 
-    ``drop_correct`` drops a group whose every target equals its source
-    (the source is fully grammatical); identity targets in a group that
-    also has other targets stay.  ``drop_identity_targets`` removes every
-    target equal to its source.  A group left with no targets is dropped,
-    since an empty group cannot be represented.
+    Either keyword is that rule: every target equal to its source goes, and
+    so does a group left with none, a fully grammatical source.  With
+    neither, every group that has a target is kept.  A group that keeps all
+    its targets is returned as is.
     """
+    drop = drop_correct or drop_identity_targets
     kept = []
     for group in groups:
         targets = group.targets
-        if drop_identity_targets:
+        if drop:
             targets = tuple(t for t in targets if t != group.source)
-        elif drop_correct and all(t == group.source for t in targets):
-            continue
         if targets:
             unchanged = len(targets) == len(group.targets)
             kept.append(group if unchanged else SourceGroup(group.source, targets))

@@ -281,9 +281,12 @@ def parse_m2(block: str) -> tuple[str, list[Annotation]]:
 
     Returns the source sentence and its annotations grouped by annotator in
     order of first appearance.  The S line is trusted as written: it is not
-    re-normalized, since edit spans index its characters.
+    re-normalized, since edit spans index its characters.  Lines are read as
+    ``read_m2_file`` reads them: a line ends at LF or CRLF, and a byte-order
+    mark that starts the block is dropped.
     """
-    return _parse_block(block.rstrip("\n").split("\n"), 1)
+    lines = read_lines(block.rstrip("\r\n").split("\n"))
+    return _parse_block([line for _, line in lines], 1)
 
 
 def write_m2_file(blocks: Iterable[str], out: IO[str]) -> int:

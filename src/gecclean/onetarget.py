@@ -41,9 +41,6 @@ class Strategy(enum.Enum):
         raise ValueError(f"unknown strategy {name!r}; valid strategies: {valid}")
 
 
-_ARGMAX = frozenset({Strategy.LEV_SIM, Strategy.JAC_SIM, Strategy.EDI_MOST})
-
-
 class SelectionConfig(NamedTuple):
     """Strategy plus the seed feeding the random strategy's streams."""
 
@@ -52,22 +49,26 @@ class SelectionConfig(NamedTuple):
 
 
 @functools.cache
-def _ranking_key(strategy: Strategy) -> Callable[[str, str], float | int]:
-    """The function ``(source, target) -> key`` of a deterministic strategy.
+def _ranking(strategy: Strategy) -> tuple[Callable, Callable] | None:
+    """``(key, max or min)`` that picks a target by ``key(source, target)``.
 
-    Only the edi_* strategies import the aligner (``gecclean.edits`` and
-    ``gecclean.m2``), once per process; ``clean`` calls this before it
-    reads the corpus, so the aligner's compile does not add to its peak.
+    ``None`` for random, which ranks nothing.  Only the edi_* strategies
+    import the aligner (``gecclean.edits`` and ``gecclean.m2``), once per
+    process; ``clean`` calls this before it reads the corpus, so the
+    aligner's compile does not add to its peak.
     """
+    if strategy is Strategy.RANDOM:
+        return None
+    pick = min
+    if strategy in (Strategy.LEV_SIM, Strategy.JAC_SIM, Strategy.EDI_MOST):
+        pick = max
     if strategy in (Strategy.LEV_SIM, Strategy.LEV_DIS):
-        return levenshtein_ratio
+        return levenshtein_ratio, pick
     if strategy in (Strategy.JAC_SIM, Strategy.JAC_DIS):
-        return jaccard_similarity
-    if strategy in (Strategy.EDI_LEAST, Strategy.EDI_MOST):
-        from .edits import extract_edits
+        return jaccard_similarity, pick
+    from .edits import extract_edits
 
-        return lambda source, target: len(extract_edits(source, target).edits)
-    raise ValueError("the random strategy has no ranking key")
+    return (lambda source, target: len(extract_edits(source, target).edits)), pick
 
 
 def _group_rng(seed: int, source: str) -> random.Random:
@@ -97,13 +98,13 @@ def select(group: SourceGroup, config: SelectionConfig) -> Sample:
         raise ValueError(f"group for source {group.source!r} has no targets")
     if len(targets) == 1:
         return Sample(group.source, targets[0])
-    if config.strategy is Strategy.RANDOM:
+    ranking = _ranking(config.strategy)
+    if ranking is None:
         index = _group_rng(config.seed, group.source).randrange(len(targets))
-        return Sample(group.source, targets[index])
-    key = _ranking_key(config.strategy)
-    keys = [key(group.source, t) for t in targets]
-    pick = max if config.strategy in _ARGMAX else min
-    index = pick(range(len(targets)), key=keys.__getitem__)
+    else:
+        key, pick = ranking
+        keys = [key(group.source, t) for t in targets]
+        index = pick(range(len(targets)), key=keys.__getitem__)
     return Sample(group.source, targets[index])
 
 

@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 
 from gecclean import __version__
+from gecclean.corpus import filter_groups, group_by_source, parse_parallel
 from gecclean.edits import extract_edits
 from gecclean.m2 import to_m2
+from gecclean.onetarget import SelectionConfig, Strategy, clean_corpus
 from gecclean.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -69,6 +71,21 @@ class TestClean:
         out = tmp_path / "out.tsv"
         main(["clean", str(corpus), "-o", str(out), "--strategy", "lev_sim", "--drop-correct"])
         assert out.read_text(encoding="utf-8") == "bb\tbc\n"
+
+    def test_library_drop_correct_selects_as_the_flag(self, tmp_path):
+        # "cd" has an identity target beside its correction; "ab" only its own.
+        text = "cd\tcd\ncd\tce\nab\tab\n"
+        corpus = write(tmp_path / "in.tsv", text)
+        groups = group_by_source(parse_parallel(text.splitlines()))
+        kept = filter_groups(groups, drop_correct=True)
+        out = tmp_path / "out.tsv"
+        for strategy in Strategy:
+            if strategy is Strategy.RANDOM:
+                continue
+            argv = ["clean", str(corpus), "-o", str(out), "--strategy", strategy.value]
+            assert main(argv + ["--drop-correct"]) == 0
+            picked = clean_corpus(kept, SelectionConfig(strategy))
+            assert out.read_text(encoding="utf-8") == "".join(f"{s}\t{t}\n" for s, t in picked)
 
     def test_malformed_input_fails_with_line_number(self, tmp_path, capsys):
         corpus = write(tmp_path / "in.tsv", "ok\tfine\nbroken\n")

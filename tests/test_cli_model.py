@@ -231,6 +231,8 @@ def test_cli_matches_model(corpus):
             kept = model_groups(samples, bool(drop))
             for strategy, key in KEYS.items():
                 assert read(f"{strategy}{drop}.tsv") == model_clean(kept, key)
+                sidecar = json.loads(read(f"{strategy}{drop}.tsv.meta.json"))
+                assert sidecar["config"]["strategy"] == strategy
             check_m2_blocks(read(f"gold{drop}.m2"), kept)
             expected = "".join(t + "\n" for _, targets in kept for t in targets)
             assert read(f"applied{drop}.txt") == expected
@@ -272,6 +274,8 @@ def test_random_pick_ignores_other_sources(corpus, seed, drop, data):
             argv = ["clean", str(work / f"{name}.tsv"), "-o", str(work / f"{name}.out")]
             assert main(argv + options) == 0
             picks.append(read_pairs(work / f"{name}.out"))
+            sidecar = json.loads((work / f"{name}.out.meta.json").read_bytes())
+            assert sidecar["config"]["strategy"] == "random"
     everything, some = picks
     groups = model_groups(model_samples(text), drop)
     assert list(everything) == [source for source, _ in groups]
@@ -424,6 +428,48 @@ def test_full_disk_replaces_nothing(tmp_path, capsys, command, victim):
     assert_rerun_changes_both(tmp_path, argv, before)
 
 
+# Three targets for each of 2,000 sources: every output written from them
+# outgrows the stream buffer, so a full disk fails in the handler's own
+# writes rather than at close.
+LARGE = [
+    (f"abcdef{i}", target)
+    for i in range(2000)
+    for target in (f"abcxef{i}", f"abc{i}", f"xbcdey{i}")
+]
+
+
+@needs_dev_full
+@pytest.mark.parametrize("command", ["clean", "to-m2", "apply-m2"])
+def test_full_disk_while_writing_names_the_output(tmp_path, capsys, command):
+    """A write error in the handler's body names ``-o``, not only one at close."""
+    argv = rerun_argv(tmp_path, command)
+    write_inputs(tmp_path, LARGE)
+    before = snapshot(tmp_path)
+    fill_disk(tmp_path, "out")
+    assert main(argv) == 1
+    assert_failed_cleanly(tmp_path, capsys.readouterr().err, "out", before)
+
+
+def test_read_error_names_the_input_not_the_output(tmp_path, capsys, monkeypatch):
+    """A read error that names no file, raised while ``apply-m2`` writes,
+    names the M2 input."""
+    import gecclean.m2
+
+    argv = rerun_argv(tmp_path, "apply-m2")
+    before = snapshot(tmp_path)
+    read_m2_file = gecclean.m2.read_m2_file
+
+    def failing_read(lines):
+        yield from read_m2_file(lines)
+        raise OSError(errno.EIO, "injected failure")
+
+    monkeypatch.setattr(gecclean.m2, "read_m2_file", failing_read)
+    assert main(argv) == 1
+    assert f"injected failure: '{tmp_path / 'gold.m2'}'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.tmp"))
+    assert snapshot(tmp_path) == before
+
+
 def ablate_rerun(work: Path) -> list[str]:
     """Run ``ablate`` over one group of three targets, then change the
     group; the returned rerun changes every output and the sidecar."""
@@ -467,6 +513,18 @@ def test_ablate_full_disk_on_its_first_output_replaces_nothing(tmp_path, capsys)
     fill_disk(tmp_path, "out.n1.tsv")
     assert main(argv) == 1
     assert_failed_cleanly(tmp_path, capsys.readouterr().err, "out.n1.tsv", before)
+
+
+@needs_dev_full
+@pytest.mark.parametrize("name", ["out.n1.tsv", "out.n2.tsv"])
+def test_ablate_full_disk_while_writing_names_that_output(tmp_path, capsys, name):
+    """The error names the dataset being written, not the first or the last."""
+    argv = ablate_rerun(tmp_path)
+    write_inputs(tmp_path, LARGE)
+    before = snapshot(tmp_path)
+    fill_disk(tmp_path, name)
+    assert main(argv) == 1
+    assert_failed_cleanly(tmp_path, capsys.readouterr().err, name, before)
 
 
 def read_lines_of(path: str) -> list[str]:

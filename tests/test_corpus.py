@@ -170,9 +170,13 @@ class TestFilterGroups:
             SourceGroup("s", ("t",))
         ]
 
-    def test_drop_correct_alone_drops_only_fully_correct_groups(self):
+    def test_drop_correct_alone_drops_identity_targets(self):
         groups = [SourceGroup("ab", ("ab",)), SourceGroup("cd", ("cd", "ce"))]
-        assert filter_groups(groups, drop_correct=True) == [SourceGroup("cd", ("cd", "ce"))]
+        assert filter_groups(groups, drop_correct=True) == [SourceGroup("cd", ("ce",))]
+
+    def test_group_that_keeps_every_target_is_returned_as_is(self):
+        groups = [SourceGroup("cd", ("ce", "cf"))]
+        assert filter_groups(groups, drop_correct=True)[0] is groups[0]
 
     def test_drop_identity_targets_alone(self):
         groups = [SourceGroup("ab", ("ab",)), SourceGroup("cd", ("cd", "ce"))]

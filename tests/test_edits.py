@@ -670,6 +670,13 @@ class TestM2Format:
         with pytest.raises(M2FormatError, match="inconsistent"):
             parse_m2("S a b\nA 0 1|||M|||z|||REQUIRED|||-NONE-|||0\n")
 
+    def test_crlf_block_parses_like_its_lf_form(self):
+        block = "S a b\nA 0 1|||R|||c|||REQUIRED|||-NONE-|||0\n"
+        expected = ("ab", [Annotation((Edit(0, 1, "c"),), 0)])
+        assert parse_m2(block) == expected
+        assert parse_m2(block.replace("\n", "\r\n")) == expected
+        assert parse_m2("\ufeff" + block.replace("\n", "\r\n")) == expected
+
     def test_error_carries_line_number(self):
         with pytest.raises(M2FormatError, match="line 2"):
             parse_m2("S a b\nA 0 1|||bogus\n")
@@ -773,7 +780,8 @@ class TestM2Format:
             for chars in itertools.product(" a\r", repeat=length):
                 remainder = "".join(chars)
                 try:
-                    expected = decode_s_line_by_tokens(remainder, 1)
+                    # A trailing CR is part of the line ending, as in a file.
+                    expected = decode_s_line_by_tokens(remainder.rstrip("\r"), 1)
                 except M2FormatError:
                     with pytest.raises(M2FormatError, match="line 1: S line"):
                         parse_m2("S " + remainder + noop)

@@ -6,7 +6,7 @@ from gecclean.edits import extract_edits
 from gecclean.onetarget import (
     SelectionConfig,
     Strategy,
-    _ranking_key,
+    _ranking,
     build_ablation,
     clean_corpus,
     select,
@@ -70,8 +70,7 @@ class TestScoreTarget:
         assert jaccard_similarity("我能胜任这此职务", "我能胜任这职务。") == pytest.approx(7 / 9)
 
     def test_random_has_no_key(self):
-        with pytest.raises(ValueError, match="random strategy has no ranking key"):
-            _ranking_key(Strategy.RANDOM)
+        assert _ranking(Strategy.RANDOM) is None
 
 
 class TestSelect:

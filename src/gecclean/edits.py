@@ -80,6 +80,12 @@ def extract_edits(s: str, t: str, annotator_id: int = 0) -> Annotation:
     one costs O(m' * n' / w) operations on w-bit words and about
     m' * n' / 4 bytes.  The backtrace walks neither the common suffix nor
     the matched prefix, and keeps no step list.
+
+    One shape takes no pass: a core of the same length on both sides
+    whose characters differ only at its two ends (so s and t differ in
+    one character, two adjacent ones, or the first and last of the core).
+    Its path is all diagonal, and its edits are written directly: one for
+    a core of one or two characters, else one for each end.
     """
     m, n = len(s), len(t)
     if m > ALIGN_LENGTH_FLAG or n > ALIGN_LENGTH_FLAG:
@@ -94,6 +100,17 @@ def extract_edits(s: str, t: str, annotator_id: int = 0) -> Annotation:
     # takes a common suffix as matches.
     prefix, suffix = common_affixes(s, t)
     i, j = m - suffix, n - suffix
+    # An equal-length core whose ends differ and whose interior matches
+    # has a forced path.  Its distance is its Hamming distance (one edit
+    # between equal lengths is a substitution), so every diagonal cell
+    # holds the Hamming distance before it, the tie-break takes the
+    # diagonal at each mismatch, and the edits are the mismatched runs.
+    if m == n and s[prefix + 1 : i - 1] == t[prefix + 1 : j - 1]:
+        if i - prefix <= 2:
+            ends = (Edit(prefix, i, t[prefix:j]),)
+        else:
+            ends = (Edit(prefix, prefix + 1, t[prefix]), Edit(i - 1, i, t[j - 1]))
+        return tuple.__new__(Annotation, (ends, annotator_id))
 
     # The core s[prefix:i], t[prefix:j]; column c of its pass is column
     # prefix + c of the full matrix, and row r its row prefix + r.

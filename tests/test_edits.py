@@ -410,13 +410,13 @@ class TestBandedAlignMatchesFullMatrix:
 
     @long_pairs
     def test_long_near_core_keeps_only_its_band(self, monkeypatch):
-        # Edits at both ends leave a 6000 x 6000 core, whose whole columns
-        # would take ~10 MB; its distance fits its first band, so one pass
-        # over windows of 2p + 1 bits computes it, keeping two small ints a
-        # column.
+        # Edits at both ends and one inside leave a 6000 x 6000 core, whose
+        # whole columns would take ~10 MB; its distance fits its first
+        # band, so one pass over windows of 2p + 1 bits computes it,
+        # keeping two small ints a column.
         rng = random.Random(6000)
         source = "".join(rng.choices(WIDE_ALPHABET, k=6000))
-        target = "X" + source[1:-1] + "Y"
+        target = "X" + source[1:3000] + "Z" + source[3001:-1] + "Y"
         calls = record_passes(monkeypatch)
         path, peak = traced_align(source, target)
         p = edits._FIRST_BAND
@@ -424,18 +424,22 @@ class TestBandedAlignMatchesFullMatrix:
         assert peak < 600_000
         assert extract_edits(source, target).edits == (
             Edit(0, 1, "X"),
+            Edit(3000, 3001, "Z"),
             Edit(5999, 6000, "Y"),
         )
-        assert path == ["substitute"] + ["match"] * 5998 + ["substitute"]
+        assert path == (
+            ["substitute"] + ["match"] * 2999 + ["substitute"]
+            + ["match"] * 2998 + ["substitute"]
+        )
 
     @long_pairs
     def test_long_near_pair_keeps_a_flat_list_of_columns(self):
-        # Criterion 9's alphabet, the first and last characters replaced:
-        # the 10,000-column core keeps two ints a column in one flat list
-        # (~0.87 MB); a tuple per column peaked at ~1.23 MB.
+        # Criterion 9's alphabet, the first, middle and last characters
+        # replaced: the 10,000-column core keeps two ints a column in one
+        # flat list (~0.87 MB); a tuple per column peaked at ~1.23 MB.
         rng = random.Random(10_000)
         source = "".join(rng.choices(CRITERION_9_ALPHABET, k=10_000))
-        target = "X" + source[1:-1] + "Y"
+        target = "X" + source[1:5000] + "Z" + source[5001:-1] + "Y"
         tracemalloc.start()
         try:
             annotation = extract_edits(source, target)
@@ -443,14 +447,18 @@ class TestBandedAlignMatchesFullMatrix:
         finally:
             tracemalloc.stop()
         assert peak < 1_050_000
-        assert annotation.edits == (Edit(0, 1, "X"), Edit(9999, 10_000, "Y"))
+        assert annotation.edits == (
+            Edit(0, 1, "X"),
+            Edit(5000, 5001, "Z"),
+            Edit(9999, 10_000, "Y"),
+        )
 
     def test_long_near_pair_walks_only_its_core(self):
         # A per-character step list of this pair would take ~1.6 MB; the
-        # backtrace walks the 1 x 1 core and stops inside the prefix.
+        # backtrace walks the 1 x 2 core and stops inside the prefix.
         rng = random.Random(200_000)
         source = "".join(rng.choices(WIDE_ALPHABET, k=200_000))
-        target = source[:100_000] + "X" + source[100_001:]
+        target = source[:100_000] + "XY" + source[100_001:]
         with pytest.warns(UserWarning, match="unusually long"):
             tracemalloc.start()
             try:
@@ -458,7 +466,7 @@ class TestBandedAlignMatchesFullMatrix:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert annotation.edits == (Edit(100_000, 100_001, "X"),)
+        assert annotation.edits == (Edit(100_000, 100_001, "XY"),)
         assert peak < 64_000
 
 
@@ -480,7 +488,7 @@ def _band_pairs():
     long_near = long_source[:500] + "X" + long_source[501:1500] + long_source[1502:]
     return {
         "table": (TABLE_SOURCE, TABLE_REF1),
-        "near": (source, source[:80] + "我" + source[81:]),
+        "near": (source, source[:80] + "XY" + source[81:]),
         "long-near": (long_source, long_near),
         "unrelated": (source, unrelated),
         "unrelated-shorter": (unrelated, source[:120]),
@@ -529,12 +537,69 @@ class TestOnlyCoreFilled:
     def test_band_receives_the_core_only(self, monkeypatch):
         rng = random.Random(1900)
         source = "".join(rng.choices(WIDE_ALPHABET, k=2000))
-        target = source[:1900] + "X" + source[1901:]
+        target = source[:1900] + "XY" + source[1901:]
         calls = record_passes(monkeypatch)
         path = align(source, target)
-        assert [(m, n) for m, n, _ in calls] == [(1, 1)]
-        assert [k for k, step in enumerate(path) if step != "match"] == [1900]
-        assert path[1900] == "substitute"
+        assert [(m, n) for m, n, _ in calls] == [(1, 2)]
+        assert [k for k, step in enumerate(path) if step != "match"] == [1900, 1901]
+        assert path[1900:1902] == ["insert", "substitute"]
+
+
+# ASCII, CJK, astral and combining characters for cores.
+CORE_ALPHABET = "ab我能𠀀😀e\u0301"
+
+
+@st.composite
+def forced_cores(draw, lengths=st.sampled_from([1, 2]) | st.integers(3, 12)):
+    """Random affixes around an equal-length core whose ends alone differ.
+
+    Returns s, t and the core's span in both.  t's copy of the core
+    replaces its first and last characters by other ones, and its interior
+    matches, so the common affixes are exactly the drawn ones.
+    """
+    text = st.text(alphabet=CORE_ALPHABET, max_size=8)
+    head, tail = draw(text), draw(text)
+    length = draw(lengths)
+    core = draw(st.text(alphabet=CORE_ALPHABET, min_size=length, max_size=length))
+    first = draw(st.sampled_from(CORE_ALPHABET).filter(lambda c: c != core[0]))
+    last = draw(st.sampled_from(CORE_ALPHABET).filter(lambda c: c != core[-1]))
+    other = first if length == 1 else first + core[1:-1] + last
+    return head + core + tail, head + other + tail, len(head), len(head) + length
+
+
+def passes_run(s, t, annotator_id=0):
+    """extract_edits(s, t, annotator_id) and the number of bit-vector passes it ran."""
+    run = edits.bit_vector_columns
+    with mock.patch.object(edits, "bit_vector_columns", wraps=run) as passes:
+        annotation = extract_edits(s, t, annotator_id)
+    return annotation, passes.call_count
+
+
+class TestForcedCoreTakesNoPass:
+    """An equal-length core that differs only at its two ends has an
+    all-diagonal path, which extract_edits writes without a pass."""
+
+    @given(forced_cores(), st.integers(0, 2**70))
+    @settings(max_examples=400)
+    def test_matches_full_matrix_without_a_pass(self, pair, annotator_id):
+        s, t, _, _ = pair
+        annotation, passes = passes_run(s, t, annotator_id)
+        expected = merge_path(align_full_matrix(s, t), t)
+        assert annotation == Annotation(expected, annotator_id)
+        assert type(annotation) is Annotation and type(annotation.edits) is tuple
+        assert passes == 0
+
+    @given(forced_cores(lengths=st.integers(3, 12)), st.data())
+    @settings(max_examples=200)
+    def test_third_substitution_runs_one_pass(self, pair, data):
+        # One interior character replaced too: the Hamming distance is 3.
+        s, t, start, end = pair
+        k = data.draw(st.integers(start + 1, end - 2))
+        other = data.draw(st.sampled_from(CORE_ALPHABET).filter(lambda c: c != t[k]))
+        t = t[:k] + other + t[k + 1 :]
+        annotation, passes = passes_run(s, t)
+        assert annotation.edits == merge_path(align_full_matrix(s, t), t)
+        assert passes == 1
 
 
 class TestExtractEdits:
@@ -569,9 +634,17 @@ class TestExtractEdits:
 
     def test_edits_are_built_through_their_constructor(self):
         # Edit's replacement check is all that keeps a tab or newline out
-        # of an extracted edit, and so out of an M2 line; a tab that both
-        # sides share is matched, not emitted.
-        for s, t in [("a", "a\tb"), ("ab", "a\nb")]:
+        # of an extracted edit, and so out of an M2 line, also one written
+        # without a pass; a tab that both sides share is matched, not emitted.
+        for s, t in [
+            ("a", "a\tb"),
+            ("ab", "a\nb"),
+            ("xa", "x\t"),
+            ("xab", "x\tc"),
+            ("xab", "xc\n"),
+            ("abcd", "\tbcx"),
+            ("abcd", "xbc\t"),
+        ]:
             with pytest.raises(ValueError, match="may not contain tab or newline"):
                 extract_edits(s, t)
         assert extract_edits("a\tb", "a\tc").edits == (Edit(2, 3, "c"),)

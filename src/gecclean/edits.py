@@ -16,7 +16,7 @@ from .m2 import Annotation, Edit, _check_annotator_id
 # Defined in gecclean.m2.  They stay importable from here because the
 # acceptance suite and the bench harness import them from this module.
 from .m2 import apply_edits, parse_m2, read_m2_file, to_m2, write_m2_file  # noqa: F401
-from .textmetrics import bit_vector_columns, common_affixes
+from .textmetrics import _two_steps, bit_vector_columns, common_affixes
 
 # Pairs longer than this are still aligned.  Only the core left after the
 # common prefix and suffix is computed, and only its certified band is
@@ -81,11 +81,12 @@ def extract_edits(s: str, t: str, annotator_id: int = 0) -> Annotation:
     m' * n' / 4 bytes.  The backtrace walks neither the common suffix nor
     the matched prefix, and keeps no step list.
 
-    One shape takes no pass: a core of the same length on both sides
-    whose characters differ only at its two ends (so s and t differ in
-    one character, two adjacent ones, or the first and last of the core).
-    Its path is all diagonal, and its edits are written directly: one for
-    a core of one or two characters, else one for each end.
+    A core at distance 2 takes no pass (``_two_steps``): it is an end step
+    at (i, j), a matching middle and a start step, and the end step is the
+    first of substitute, delete and insert that leaves a rest at distance
+    1, which one slice comparison decides.  Its edits are written directly:
+    one per step, or one for both when no middle separates them.  A 1 x 1
+    core is one substitution, written first.
     """
     m, n = len(s), len(t)
     if m > ALIGN_LENGTH_FLAG or n > ALIGN_LENGTH_FLAG:
@@ -100,42 +101,57 @@ def extract_edits(s: str, t: str, annotator_id: int = 0) -> Annotation:
     # takes a common suffix as matches.
     prefix, suffix = common_affixes(s, t)
     i, j = m - suffix, n - suffix
-    # An equal-length core whose ends differ and whose interior matches
-    # has a forced path.  Its distance is its Hamming distance (one edit
-    # between equal lengths is a substitution), so every diagonal cell
-    # holds the Hamming distance before it, the tie-break takes the
-    # diagonal at each mismatch, and the edits are the mismatched runs.
-    if m == n and s[prefix + 1 : i - 1] == t[prefix + 1 : j - 1]:
-        if i - prefix <= 2:
-            ends = (Edit(prefix, i, t[prefix:j]),)
-        else:
-            ends = (Edit(prefix, prefix + 1, t[prefix]), Edit(i - 1, i, t[j - 1]))
-        return tuple.__new__(Annotation, (ends, annotator_id))
-
+    if i - prefix == 1 == j - prefix:
+        # The commonest core, one substituted character.
+        return tuple.__new__(Annotation, ((Edit(prefix, i, t[prefix]),), annotator_id))
     # The core s[prefix:i], t[prefix:j]; column c of its pass is column
     # prefix + c of the full matrix, and row r its row prefix + r.
     first = prefix + 1
+    edits: list[Edit] = []
+    end: tuple[int, int] | None = None
     if i > prefix and j > prefix:
-        core_s, core_t = s[prefix:i], t[prefix:j]
-        # The band spans diagonals k = j - i from min(0, gap) - p to
-        # max(0, gap) + p, gap = j - i.  A path that leaves it costs at
-        # least |gap| + 2p + 2.  The pass returns the cost of some
-        # alignment, so no less than the distance d, and the full matrix's
-        # value on every cell that an optimal path inside the band reaches.
-        # So a value of at most |gap| + 2p + 1 is d, and every optimal path
-        # lies inside the band.  A larger value v >= d makes
-        # p = (v - |gap|) // 2 such a band, and the second pass the last.
-        # The bit rows stay on s even when it is the longer string: the
-        # tie-break is not symmetric, so the matrix may not be transposed.
-        gap = j - i
-        p = _FIRST_BAND
-        while True:
-            columns: list[int] = []
-            khi = max(0, gap) + p
-            here = bit_vector_columns(core_s, core_t, p, columns)
-            if here <= abs(gap) + 2 * p + 1:
-                break
-            p = (here - abs(gap)) // 2
+        steps = _two_steps(s, t, prefix, i, j)
+        if steps is not None:
+            # A core at distance 2: the end step (ys, yt) at (i, j), a
+            # matching middle, and the start step (xs, xt) that leaves from
+            # (prefix + xs, prefix + xt), as the full matrix decides them.
+            # The middle's matches emit nothing, so the walk resumes at that
+            # cell; with no middle, the two steps are one run.
+            ys, yt, xs, xt = steps
+            if i - ys > prefix + xs:
+                edits.append(Edit(i - ys, i, t[j - yt : j]))
+            else:
+                end = i, j
+            i, j = prefix + xs, prefix + xt
+            if xs and xt:
+                # A start substitution leaves from (prefix + 1, prefix + 1),
+                # in the core; a start deletion or insertion leaves from a
+                # cell out of it, where the walk below takes it.
+                if end is None:
+                    end = i, j
+                i = j = prefix
+        else:
+            core_s, core_t = s[prefix:i], t[prefix:j]
+            # The band spans diagonals k = j - i from min(0, gap) - p to
+            # max(0, gap) + p, gap = j - i.  A path that leaves it costs at
+            # least |gap| + 2p + 2.  The pass returns the cost of some
+            # alignment, so no less than the distance d, and the full
+            # matrix's value on every cell that an optimal path inside the
+            # band reaches.  So a value of at most |gap| + 2p + 1 is d, and
+            # every optimal path lies inside the band.  A larger value
+            # v >= d makes p = (v - |gap|) // 2 such a band, and the second
+            # pass the last.  The bit rows stay on s even when it is the
+            # longer string: the tie-break is not symmetric, so the matrix
+            # may not be transposed.
+            gap = j - i
+            p = _FIRST_BAND
+            while True:
+                columns: list[int] = []
+                khi = max(0, gap) + p
+                here = bit_vector_columns(core_s, core_t, p, columns)
+                if here <= abs(gap) + 2 * p + 1:
+                    break
+                p = (here - abs(gap)) // 2
 
     # Backtrace from (i, j), the last cell before the suffix, toward the
     # origin; end is the cell after the run being walked, None on a match.
@@ -155,8 +171,6 @@ def extract_edits(s: str, t: str, annotator_id: int = 0) -> Annotation:
     # substitution there never ties (D(i-1, j-1) + 1 > D(i, j)), so the
     # full matrix's backtrace steps along the longer string, deleting if
     # i > j and inserting if i < j; once i == j, the rest is matches.
-    edits: list[Edit] = []
-    end: tuple[int, int] | None = None
     while i > prefix and j > prefix or i != j:
         if i and j and s[i - 1] == t[j - 1]:
             if end is not None:

@@ -123,15 +123,20 @@ def _check_bounds(annotation: Annotation, length: int) -> None:
 def apply_edits(s: str, annotation: Annotation) -> str:
     """Apply an annotation to a source sentence.
 
-    Edits are spliced right to left so earlier spans stay valid.  The
+    The edits are in order and do not overlap, so the result is the text
+    between them and their replacements, left to right, joined once.  The
     result is passed through sentence normalization, which is a no-op for
     any target produced by ``extract_edits``.
     """
     _check_bounds(annotation, len(s))
-    chars = list(s)
-    for edit in reversed(annotation.edits):
-        chars[edit.start : edit.end] = edit.replacement
-    return normalize("".join(chars))
+    pieces = []
+    i = 0
+    for edit in annotation.edits:
+        pieces.append(s[i : edit.start])
+        pieces.append(edit.replacement)
+        i = edit.end
+    pieces.append(s[i:])
+    return normalize("".join(pieces))
 
 
 def to_m2(source: str, annotations: Sequence[Annotation]) -> str:

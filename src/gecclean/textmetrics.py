@@ -20,12 +20,52 @@ def common_affixes(s: str, t: str) -> tuple[int, int]:
     return prefix, suffix
 
 
+# For each length difference i - j of a core, the end steps (ys, yt) of
+# the backtrace's order, substitute (1, 1), delete (1, 0) and insert
+# (0, 1), that leave a rest of length difference -1, 0 or 1, each with the
+# start step (xs, xt) that difference fixes: a rest one longer in s starts
+# with a deletion, one longer in t with an insertion, and one of equal
+# lengths with a substitution.  A core's lengths differ by at most 2 when
+# its distance is 2.
+_TWO_STEPS = {
+    gap: tuple(
+        (ys, yt, int(rest >= 0), int(rest <= 0))
+        for ys, yt in ((1, 1), (1, 0), (0, 1))
+        for rest in [gap - ys + yt]
+        if -1 <= rest <= 1
+    )
+    for gap in range(-2, 3)
+}
+
+
+def _two_steps(
+    s: str, t: str, prefix: int, i: int, j: int
+) -> tuple[int, int, int, int] | None:
+    """The two steps of a core s[prefix:i], t[prefix:j] at distance 2, or None.
+
+    The core is what ``common_affixes`` leaves, with both sides non-empty
+    and not 1 x 1: its first characters differ and its last characters
+    differ, so its distance is at least 2.  It is exactly 2 when an end
+    step (ys, yt) leaves a rest at distance 1.  The rest also starts with
+    two different characters, so its one step is its start step (xs, xt),
+    and the middle after that step matches: one slice comparison for each
+    end step, at most three in all.  They are tried in the backtrace's
+    order, so the first that fits is the full matrix's decision at (i, j).
+    Returns (ys, yt, xs, xt).
+    """
+    for steps in _TWO_STEPS.get(i - j, ()):
+        ys, yt, xs, xt = steps
+        if s[prefix + xs : i - ys] == t[prefix + xt : j - yt]:
+            return steps
+    return None
+
+
 def levenshtein_distance(s: str, t: str) -> int:
     """Unit-cost edit distance between the character sequences of s and t.
 
     Insertions, deletions and substitutions all cost 1; transpositions are
-    not a primitive.  With s the shorter string, two shapes have a closed
-    form:
+    not a primitive.  With s the shorter string, three shapes need no
+    matrix:
 
     - s inside t costs len(t) - len(s): no alignment costs less than the
       length difference, and deleting what surrounds s costs exactly that.
@@ -33,6 +73,9 @@ def levenshtein_distance(s: str, t: str) -> int:
       suffix are trimmed, costs len(t') - (c in t') for the core t' of t:
       len(t') - 1 insertions plus one match or one substitution, or len(t')
       insertions for an empty core.
+    - A core at distance 2, an end step, a matching middle and a start
+      step, costs 2; ``_two_steps`` settles it with at most three slice
+      comparisons (Ukkonen 1985 bounds the distance first in the same way).
 
     Any other core goes to ``bit_vector_columns`` with the bits on s: a
     fixed number of integer operations per character of t', on Python ints
@@ -51,6 +94,8 @@ def levenshtein_distance(s: str, t: str) -> int:
         return len(t)
     if len(s) == 1:
         return len(t) - (s in t)
+    if _two_steps(s, t, 0, len(s), len(t)):
+        return 2
     return bit_vector_columns(s, t, len(s))
 
 

@@ -40,6 +40,9 @@ builds a set of each annotator's edits.  ``levenshtein_distance_by_trim``
 is the distance the package computed before its two closed forms (s inside
 t, and a core of at most one character): every unequal pair has its affixes
 trimmed and, unless a core is empty, runs the package's bit-vector pass.
+``apply_edits_by_splice`` is the annotation applier the package used before
+it joined the text between the edits and their replacements left to right:
+it splices each edit into a list of characters, right to left.
 """
 
 from __future__ import annotations
@@ -47,9 +50,16 @@ from __future__ import annotations
 import functools
 from typing import Sequence
 
-from gecclean.corpus import read_lines
+from gecclean.corpus import normalize, read_lines
 from gecclean.edits import extract_edits
-from gecclean.m2 import _NONE_FIELD, Annotation, Edit, M2FormatError, _decode_s_line
+from gecclean.m2 import (
+    _NONE_FIELD,
+    Annotation,
+    Edit,
+    M2FormatError,
+    _check_bounds,
+    _decode_s_line,
+)
 from gecclean.stats import (
     _POOLED_LABEL,
     POOLED_BUCKET_MIN,
@@ -508,3 +518,12 @@ def evaluate_sentence_per_edit(
             chosen = (tp, fp, fn, annotation.annotator_id)
     assert chosen is not None
     return chosen
+
+
+def apply_edits_by_splice(s: str, annotation: Annotation) -> str:
+    """Apply an annotation by splicing its edits right to left."""
+    _check_bounds(annotation, len(s))
+    chars = list(s)
+    for edit in reversed(annotation.edits):
+        chars[edit.start : edit.end] = edit.replacement
+    return normalize("".join(chars))

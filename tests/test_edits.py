@@ -5,7 +5,7 @@ import tracemalloc
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gecclean import edits
 from gecclean.corpus import ParallelFormatError
@@ -22,11 +22,15 @@ from gecclean.edits import (
 )
 from gecclean.m2 import M2FormatError
 from gecclean.scorer import evaluate_sentence
+from gecclean import textmetrics
 from gecclean.textmetrics import levenshtein_distance
 from oracles import (
     align_full_matrix,
+    apply_edits_by_splice,
     canonical_min_path,
     decode_s_line_by_tokens,
+    levenshtein_distance_by_trim,
+    levenshtein_recursive,
     merge_path,
     parse_m2_by_join,
     read_m2_file_by_join,
@@ -486,9 +490,10 @@ def _band_pairs():
     unrelated = "".join(rng.choices(WIDE_ALPHABET, k=200))
     long_source = "".join(rng.choices(WIDE_ALPHABET, k=2000))
     long_near = long_source[:500] + "X" + long_source[501:1500] + long_source[1502:]
+    # Each core is at distance 3 or more: a core at distance 2 takes no pass.
     return {
-        "table": (TABLE_SOURCE, TABLE_REF1),
-        "near": (source, source[:80] + "XY" + source[81:]),
+        "table": (TABLE_SOURCE, TABLE_REF1[:1] + "不" + TABLE_REF1[2:]),
+        "near": (source, source[:80] + "XY" + source[81:120] + "Z" + source[121:]),
         "long-near": (long_source, long_near),
         "unrelated": (source, unrelated),
         "unrelated-shorter": (unrelated, source[:120]),
@@ -537,12 +542,12 @@ class TestOnlyCoreFilled:
     def test_band_receives_the_core_only(self, monkeypatch):
         rng = random.Random(1900)
         source = "".join(rng.choices(WIDE_ALPHABET, k=2000))
-        target = source[:1900] + "XY" + source[1901:]
+        target = source[:1900] + "XYZ" + source[1901:]
         calls = record_passes(monkeypatch)
         path = align(source, target)
-        assert [(m, n) for m, n, _ in calls] == [(1, 2)]
-        assert [k for k, step in enumerate(path) if step != "match"] == [1900, 1901]
-        assert path[1900:1902] == ["insert", "substitute"]
+        assert [(m, n) for m, n, _ in calls] == [(1, 3)]
+        assert [k for k, step in enumerate(path) if step != "match"] == [1900, 1901, 1902]
+        assert path[1900:1903] == ["insert", "insert", "substitute"]
 
 
 # ASCII, CJK, astral and combining characters for cores.
@@ -592,14 +597,101 @@ class TestForcedCoreTakesNoPass:
     @given(forced_cores(lengths=st.integers(3, 12)), st.data())
     @settings(max_examples=200)
     def test_third_substitution_runs_one_pass(self, pair, data):
-        # One interior character replaced too: the Hamming distance is 3.
+        # One interior character replaced too: the Hamming distance is 3,
+        # but a shift can leave the core at distance 2 ("abc" against
+        # "bca"), and then it takes no pass either.
         s, t, start, end = pair
         k = data.draw(st.integers(start + 1, end - 2))
         other = data.draw(st.sampled_from(CORE_ALPHABET).filter(lambda c: c != t[k]))
         t = t[:k] + other + t[k + 1 :]
         annotation, passes = passes_run(s, t)
         assert annotation.edits == merge_path(align_full_matrix(s, t), t)
-        assert passes == 1
+        assert passes == (levenshtein_recursive(s[start:end], t[start:end]) > 2)
+
+
+# The steps a core's two edits take, as characters of s and of t:
+# substitute, delete, insert.
+STEP_SHAPES = ((1, 1), (1, 0), (0, 1))
+
+
+@st.composite
+def two_step_cores(draw):
+    """Random affixes around a start step, a matching middle and an end step.
+
+    Returns s and t.  Each step's shape is drawn from STEP_SHAPES, and the
+    core's first characters differ and so do its last ones, so the common
+    affixes are exactly the drawn ones and the core is at distance 2 (1 for
+    a 1 x 1 core).
+    """
+    text = st.text(alphabet=CORE_ALPHABET, max_size=8)
+    head, tail = draw(text), draw(text)
+    middle = draw(st.text(alphabet=CORE_ALPHABET, max_size=12))
+    shape = st.sampled_from(STEP_SHAPES)
+    (xs, xt), (ys, yt) = draw(shape), draw(shape)
+    chars = st.text(alphabet=CORE_ALPHABET, min_size=1, max_size=1)
+    core_s = draw(chars) * xs + middle + draw(chars) * ys
+    core_t = draw(chars) * xt + middle + draw(chars) * yt
+    assume(core_s and core_t and core_s[0] != core_t[0] and core_s[-1] != core_t[-1])
+    return head + core_s + tail, head + core_t + tail
+
+
+class TestDistanceTwoTakesNoPass:
+    """A core at distance 2 is an end step, a matching middle and a start
+    step.  extract_edits writes its edits and levenshtein_distance returns
+    2 after at most three slice comparisons, with no pass."""
+
+    def test_every_small_pair(self):
+        for alphabet, longest in (("ab", 6), ("abc", 4), ("我á", 4)):
+            texts = [
+                "".join(chars)
+                for length in range(longest + 1)
+                for chars in itertools.product(alphabet, repeat=length)
+            ]
+            for s, t in itertools.product(texts, repeat=2):
+                assert extract_edits(s, t).edits == merge_path(align_full_matrix(s, t), t)
+                d = levenshtein_recursive(s, t)
+                assert levenshtein_distance(s, t) == d == levenshtein_distance_by_trim(s, t)
+
+    @given(two_step_cores(), st.integers(0, 2**70))
+    @settings(max_examples=400)
+    def test_matches_full_matrix_without_a_pass(self, pair, annotator_id):
+        s, t = pair
+        annotation, passes = passes_run(s, t, annotator_id)
+        expected = merge_path(align_full_matrix(s, t), t)
+        assert annotation == Annotation(expected, annotator_id)
+        assert passes == 0
+        run = textmetrics.bit_vector_columns
+        with mock.patch.object(textmetrics, "bit_vector_columns", wraps=run) as distance:
+            assert levenshtein_distance(s, t) == levenshtein_distance(t, s)
+            assert levenshtein_distance(s, t) == levenshtein_recursive(s, t) <= 2
+        assert distance.call_count == 0
+
+    @given(two_step_cores(), st.data())
+    @settings(max_examples=200)
+    def test_third_substitution_runs_one_pass_at_distance_three(self, pair, data):
+        # A core within its first band (a distance of at most 3 is), so a
+        # distance of 3 takes exactly one pass; the substitution may also
+        # leave it at 2, or move the affixes.
+        s, t = pair
+        k = data.draw(st.integers(0, len(t) - 1))
+        other = data.draw(st.sampled_from(CORE_ALPHABET).filter(lambda c: c != t[k]))
+        t = t[:k] + other + t[k + 1 :]
+        annotation, passes = passes_run(s, t)
+        assert annotation.edits == merge_path(align_full_matrix(s, t), t)
+        d = levenshtein_recursive(s, t)
+        assert passes == (d > 2)
+        assert levenshtein_distance(s, t) == d
+
+    @pytest.mark.parametrize(
+        "s, t",
+        [("abcd", "bcd\t"), ("xab", "a\t"), ("ab", "\t"), ("abcd", "\tabc"), ("xabc", "ab\nc")],
+        ids=["end-insertion", "end-substitution", "one-run", "start-insertion", "newline"],
+    )
+    def test_tab_or_newline_in_a_step_is_rejected(self, s, t):
+        # The edits of a distance-2 core are built through Edit's constructor.
+        assert levenshtein_distance(s, t) == 2
+        with pytest.raises(ValueError, match="may not contain tab or newline"):
+            extract_edits(s, t)
 
 
 class TestExtractEdits:
@@ -674,6 +766,31 @@ class TestApplyEdits:
     def test_out_of_bounds_rejected(self):
         with pytest.raises(ValueError, match="out of bounds"):
             apply_edits("ab", Annotation((Edit(1, 3, "x"),)))
+
+    @pytest.mark.parametrize(
+        "edits",
+        [
+            (Edit(0, 0, "x"), Edit(3, 3, "y")),
+            (Edit(0, 1, ""), Edit(2, 3, "")),
+            (Edit(0, 3, "我"),),
+            (Edit(0, 1, "xy"), Edit(1, 1, "z"), Edit(1, 2, ""), Edit(3, 3, "w")),
+        ],
+    )
+    def test_edits_at_either_end(self, edits):
+        annotation = Annotation(edits)
+        assert apply_edits("abc", annotation) == apply_edits_by_splice("abc", annotation)
+
+    @given(mixed_text, st.data())
+    def test_matches_the_splice_oracle(self, s, data):
+        # Sorted cuts paired up are ordered, non-overlapping spans; two
+        # insertions may not share a position.
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(s)), max_size=10)))
+        edits = []
+        for start, end in zip(cuts[::2], cuts[1::2]):
+            if not (edits and edits[-1].start == edits[-1].end == start == end):
+                edits.append(Edit(start, end, data.draw(mixed_text)))
+        annotation = Annotation(edits)
+        assert apply_edits(s, annotation) == apply_edits_by_splice(s, annotation)
 
 
 # Each consumer of an annotation checks its edits against the sentence.

@@ -48,13 +48,17 @@ def _read_samples(args) -> Iterator:
     return _read(args.input, parse_parallel, multi_target=args.multi_target_lines)
 
 
-def _read_groups(args) -> list:
-    """The input's source groups, less what ``--drop-correct`` drops if given."""
-    from .corpus import filter_groups, group_by_source
+def _read_groups(args) -> Iterator:
+    """The input's source groups, less what ``--drop-correct`` drops if given.
 
-    groups = group_by_source(_read_samples(args))
+    The whole input is read, and any input error raised, before this
+    returns; the groups are then made as they are iterated.
+    """
+    from .corpus import _kept_groups, _source_groups
+
+    groups = _source_groups(_read_samples(args))
     if getattr(args, "drop_correct", False):
-        groups = filter_groups(groups, drop_correct=True)
+        groups = _kept_groups(groups, drop=True)
     return groups
 
 

@@ -121,20 +121,45 @@ def write_parallel(samples: Iterable[Sample], out: IO[str]) -> int:
     return count
 
 
+def _source_groups(samples: Iterable[Sample]) -> Iterator[SourceGroup]:
+    """Read every sample, then return an iterator over ``group_by_source``'s groups.
+
+    A source's first target is kept as the string itself; a dict of its
+    targets replaces it only when a second distinct target arrives.
+    """
+    grouped: dict[str, str | dict[str, None]] = {}
+    for source, target in samples:
+        targets = grouped.setdefault(source, target)
+        if type(targets) is dict:
+            targets[target] = None
+        elif targets != target:
+            grouped[source] = {targets: None, target: None}
+    return (
+        SourceGroup(source, (targets,) if type(targets) is str else tuple(targets))
+        for source, targets in grouped.items()
+    )
+
+
 def group_by_source(samples: Iterable[Sample]) -> list[SourceGroup]:
     """Group samples by their exact source sentence.
 
     Groups appear in first-appearance order of the source; within a group,
     targets keep first-appearance order and duplicate (source, target)
-    pairs collapse to one.  Holds one entry per unique sentence in memory:
-    each target dict is replaced by its group in place.
+    pairs collapse to one.  While grouping, a source with one distinct
+    target holds that target string and one with more holds a dict of them.
     """
-    grouped: dict[str, dict[str, None] | SourceGroup] = {}
-    for source, target in samples:
-        grouped.setdefault(source, {})[target] = None
-    for source, targets in grouped.items():
-        grouped[source] = SourceGroup(source, tuple(targets))
-    return list(grouped.values())
+    return list(_source_groups(samples))
+
+
+def _kept_groups(groups: Iterable[SourceGroup], drop: bool) -> Iterator[SourceGroup]:
+    """``filter_groups``, as an iterator: ``drop`` is its ``--drop-correct`` rule."""
+    for group in groups:
+        targets = group.targets
+        if drop:
+            targets = tuple(t for t in targets if t != group.source)
+        if targets:
+            unchanged = len(targets) == len(group.targets)
+            yield group if unchanged else SourceGroup(group.source, targets)
 
 
 def filter_groups(
@@ -149,13 +174,4 @@ def filter_groups(
     neither, every group that has a target is kept.  A group that keeps all
     its targets is returned as is.
     """
-    drop = drop_correct or drop_identity_targets
-    kept = []
-    for group in groups:
-        targets = group.targets
-        if drop:
-            targets = tuple(t for t in targets if t != group.source)
-        if targets:
-            unchanged = len(targets) == len(group.targets)
-            kept.append(group if unchanged else SourceGroup(group.source, targets))
-    return kept
+    return list(_kept_groups(groups, drop_correct or drop_identity_targets))

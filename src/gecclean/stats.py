@@ -123,15 +123,27 @@ def corpus_stats(
     """
     count = erroneous = length_total = 0
     ratio_total = _CompensatedSum()
-    pairs: dict[str, dict[str, tuple[float, int]]] = {}
+    # A source with one distinct target holds (target, values), and one
+    # with more a dict from target to values.
+    pairs: dict[str, tuple[str, tuple[float, int]] | dict[str, tuple[float, int]]] = {}
     for source, target in samples:
         count += 1
         erroneous += source != target
         length_total += len(source)
-        targets = pairs.setdefault(source, {})
-        values = targets.get(target)
-        if values is None:
-            values = targets[target] = _pair_values(source, target)
+        targets = pairs.get(source)
+        if targets is None:
+            values = _pair_values(source, target)
+            pairs[source] = (target, values)
+        elif type(targets) is tuple:
+            if targets[0] == target:
+                values = targets[1]
+            else:
+                values = _pair_values(source, target)
+                pairs[source] = dict([targets, (target, values)])
+        else:
+            values = targets.get(target)
+            if values is None:
+                values = targets[target] = _pair_values(source, target)
         ratio_total.add(values[0])
     divisor = max(count, 1)  # an empty corpus yields an all-zero record
     overall = CorpusStats(
@@ -147,7 +159,8 @@ def corpus_stats(
     buckets = {label: _BucketAccumulator() for label in labels}
     total = _BucketAccumulator()
     for source, targets in pairs.items():
-        pair_values = [values for target, values in targets.items() if target != source]
+        items = (targets,) if type(targets) is tuple else targets.items()
+        pair_values = [values for target, values in items if target != source]
         size = len(pair_values)
         if size:
             label = str(size) if size < POOLED_BUCKET_MIN else _POOLED_LABEL

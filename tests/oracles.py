@@ -43,6 +43,11 @@ trimmed and, unless a core is empty, runs the package's bit-vector pass.
 ``apply_edits_by_splice`` is the annotation applier the package used before
 it joined the text between the edits and their replacements left to right:
 it splices each edit into a list of characters, right to left.
+``group_by_source_by_dicts`` is the grouping the package did before a
+source with one target held that target as a string and the command line
+took its groups as an iterator: every source holds a dict of its targets,
+and the list of groups is built before it is returned.  It shares the
+package's ``SourceGroup`` only.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from __future__ import annotations
 import functools
 from typing import Sequence
 
-from gecclean.corpus import normalize, read_lines
+from gecclean.corpus import SourceGroup, normalize, read_lines
 from gecclean.edits import extract_edits
 from gecclean.m2 import (
     _NONE_FIELD,
@@ -527,3 +532,13 @@ def apply_edits_by_splice(s: str, annotation: Annotation) -> str:
     for edit in reversed(annotation.edits):
         chars[edit.start : edit.end] = edit.replacement
     return normalize("".join(chars))
+
+
+def group_by_source_by_dicts(samples) -> list[SourceGroup]:
+    """Group samples by source through one target dict per source."""
+    grouped: dict = {}
+    for source, target in samples:
+        grouped.setdefault(source, {})[target] = None
+    for source, targets in grouped.items():
+        grouped[source] = SourceGroup(source, tuple(targets))
+    return list(grouped.values())

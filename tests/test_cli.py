@@ -113,6 +113,68 @@ class TestClean:
         assert list(tmp_path.glob("*.tmp")) == []
 
 
+class TestInputReadBeforeOutputs:
+    """``clean`` and ``to-m2`` read their whole input before opening an output."""
+
+    OPTIONS = {"clean": ["--strategy", "lev_sim"], "to-m2": []}
+
+    @pytest.mark.parametrize("command", ["clean", "to-m2"])
+    @pytest.mark.parametrize("bad_input", ["malformed", "missing"])
+    def test_input_error_comes_first(self, tmp_path, capsys, command, bad_input):
+        out = tmp_path / "out"
+        argv = [command, str(write(tmp_path / "ok.tsv", TWO_GROUP_TSV)), "-o", str(out)]
+        assert main(argv + self.OPTIONS[command]) == 0
+        output, sidecar = out.read_bytes(), (tmp_path / "out.meta.json").read_bytes()
+        corpus = tmp_path / "in.tsv"
+        if bad_input == "malformed":
+            write(corpus, "ab\tac\nbroken\n")
+            expected = f"error: {corpus}: line 2: expected at least 2 tab-separated fields\n"
+        else:
+            expected = f"No such file or directory: '{corpus}'\n"
+        before = sorted(tmp_path.iterdir())
+        # An output in a directory that does not exist, then a previous one.
+        for target in (tmp_path / "missing" / "out", out):
+            argv = [command, str(corpus), "-o", str(target), *self.OPTIONS[command]]
+            assert main(argv) == 1
+            assert capsys.readouterr().err.endswith(expected)
+        assert out.read_bytes() == output
+        assert (tmp_path / "out.meta.json").read_bytes() == sidecar
+        assert sorted(tmp_path.iterdir()) == before
+
+
+class TestPerGroupMemory:
+    """Traced bytes per group where every source has one target.
+
+    The difference between two corpus sizes cancels the constant costs.
+    On Python 3.10-3.13, with a dict of targets per source and a list of
+    groups, ``clean`` read 357-454 bytes a group and ``stats`` 421-537;
+    with a lone target held as its string, 179-229 and 286-361.
+    """
+
+    SIZES = (4000, 8000)
+
+    def peak(self, tmp_path, argv, groups):
+        lines = "".join(f"{i:06d}我能胜任\t{i:06d}我能胜这\n" for i in range(groups))
+        corpus = write(tmp_path / f"in{groups}.tsv", lines)
+        tracemalloc.start()
+        try:
+            assert main([argv[0], str(corpus), "-o", str(tmp_path / "out"), *argv[1:]]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize(
+        "argv, bound",
+        [(["clean", "--strategy", "lev_sim"], 290), (["stats"], 390)],
+        ids=["clean", "stats"],
+    )
+    def test_singleton_groups(self, tmp_path, argv, bound):
+        # Imports and caches fill before anything is traced.
+        self.peak(tmp_path, argv, 10)
+        small, large = (self.peak(tmp_path, argv, n) for n in self.SIZES)
+        assert (large - small) / (self.SIZES[1] - self.SIZES[0]) < bound
+
+
 class TestStats:
     def test_multi_target_lines_flag(self, tmp_path, capsys):
         corpus = write(tmp_path / "in.tsv", "s\tt1\tt2\n")

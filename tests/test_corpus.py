@@ -4,10 +4,12 @@ import unicodedata
 import pytest
 from hypothesis import given, strategies as st
 
+from gecclean import cli
 from gecclean.corpus import (
     ParallelFormatError,
     Sample,
     SourceGroup,
+    _kept_groups,
     filter_groups,
     group_by_source,
     normalize,
@@ -15,6 +17,7 @@ from gecclean.corpus import (
     read_lines,
     write_parallel,
 )
+from oracles import group_by_source_by_dicts
 
 
 class TestNormalize:
@@ -157,6 +160,41 @@ class TestGrouping:
     def test_target_totals_match_distinct_pairs(self, samples):
         groups = group_by_source(samples)
         assert sum(len(g.targets) for g in groups) == len(set(samples))
+
+
+SENTENCES = st.text("ab", min_size=1, max_size=3)
+
+
+@st.composite
+def multi_target_lines(draw) -> list[list[str]]:
+    """Lines of a few sources that come back, with repeated and identity targets."""
+    sources = draw(st.lists(SENTENCES, min_size=1, max_size=4))
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        source = draw(st.sampled_from(sources))
+        target = st.one_of(st.just(source), SENTENCES)
+        lines.append([source, *draw(st.lists(target, min_size=1, max_size=3))])
+    return lines
+
+
+class TestGroupingMatchesOracle:
+    """Every grouping path against ``oracles.group_by_source_by_dicts``."""
+
+    @given(lines=multi_target_lines())
+    def test_list_lazy_path_and_drop_rule(self, tmp_path_factory, lines):
+        text = "".join("\t".join(fields) + "\n" for fields in lines)
+        corpus = tmp_path_factory.getbasetemp() / "grouping.tsv"
+        corpus.write_text(text, encoding="utf-8", newline="\n")
+        samples = list(parse_parallel(text.splitlines(), multi_target=True))
+        expected = group_by_source_by_dicts(samples)
+        kept = filter_groups(expected, drop_correct=True)
+        assert group_by_source(samples) == expected
+        assert list(_kept_groups(iter(expected), drop=True)) == kept
+        for flags, groups in (([], expected), (["--drop-correct"], kept)):
+            argv = ["to-m2", str(corpus), "-o", "unused", "--multi-target-lines", *flags]
+            lazy = cli._read_groups(cli.build_parser().parse_args(argv))
+            assert iter(lazy) is lazy
+            assert list(lazy) == groups
 
 
 class TestFilterGroups:

@@ -283,6 +283,13 @@ def build_parser() -> argparse.ArgumentParser:
             help="lines carry source<TAB>t1<TAB>t2... instead of one pair",
         )
 
+    def add_drop_correct(sub):
+        sub.add_argument(
+            "--drop-correct",
+            action="store_true",
+            help="drop identity targets and fully grammatical sources first",
+        )
+
     clean = commands.add_parser(
         "clean", help="keep exactly one target per unique source"
     )
@@ -295,11 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="selection strategy; an unknown name lists the valid ones",
     )
     clean.add_argument("--seed", type=int, default=42, help="seed for the random strategy")
-    clean.add_argument(
-        "--drop-correct",
-        action="store_true",
-        help="drop identity targets and fully grammatical sources first",
-    )
+    add_drop_correct(clean)
     clean.add_argument(
         "--threads",
         type=_positive_int,
@@ -319,11 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_corpus_input(to_m2_cmd)
     to_m2_cmd.add_argument("-o", "--output", required=True, help="output M2 path")
-    to_m2_cmd.add_argument(
-        "--drop-correct",
-        action="store_true",
-        help="drop identity targets and fully grammatical sources first",
-    )
+    add_drop_correct(to_m2_cmd)
     to_m2_cmd.set_defaults(handler=_cmd_to_m2)
 
     apply_m2 = commands.add_parser(

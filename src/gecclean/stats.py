@@ -10,7 +10,6 @@ from .edits import extract_edits
 
 # Groups with this many targets or more share one pooled bucket.
 POOLED_BUCKET_MIN = 8
-_POOLED_LABEL = f">={POOLED_BUCKET_MIN}"
 TOTAL_LABEL = "total"
 
 
@@ -126,24 +125,31 @@ def corpus_stats(
     # A source with one distinct target holds (target, values), and one
     # with more a dict from target to values.
     pairs: dict[str, tuple[str, tuple[float, int]] | dict[str, tuple[float, int]]] = {}
+    # Equal (ratio, edit count) values share the tuple first made for them.
+    shared: dict[tuple[float, int], tuple[float, int]] = {}
+
+    def values_of(source: str, target: str) -> tuple[float, int]:
+        values = _pair_values(source, target)
+        return shared.setdefault(values, values)
+
     for source, target in samples:
         count += 1
         erroneous += source != target
         length_total += len(source)
         targets = pairs.get(source)
         if targets is None:
-            values = _pair_values(source, target)
+            values = values_of(source, target)
             pairs[source] = (target, values)
         elif type(targets) is tuple:
             if targets[0] == target:
                 values = targets[1]
             else:
-                values = _pair_values(source, target)
+                values = values_of(source, target)
                 pairs[source] = dict([targets, (target, values)])
         else:
             values = targets.get(target)
             if values is None:
-                values = targets[target] = _pair_values(source, target)
+                values = targets[target] = values_of(source, target)
         ratio_total.add(values[0])
     divisor = max(count, 1)  # an empty corpus yields an all-zero record
     overall = CorpusStats(
@@ -155,21 +161,20 @@ def corpus_stats(
         mean_source_length=length_total / divisor,
         mean_levenshtein_ratio=ratio_total.value / divisor,
     )
-    labels = [str(n) for n in range(1, POOLED_BUCKET_MIN)] + [_POOLED_LABEL]
-    buckets = {label: _BucketAccumulator() for label in labels}
+    # buckets[n - 1] holds the groups of n erroneous targets; the last pools the rest.
+    buckets = [_BucketAccumulator() for _ in range(POOLED_BUCKET_MIN)]
     total = _BucketAccumulator()
     for source, targets in pairs.items():
         items = (targets,) if type(targets) is tuple else targets.items()
         pair_values = [values for target, values in items if target != source]
-        size = len(pair_values)
-        if size:
-            label = str(size) if size < POOLED_BUCKET_MIN else _POOLED_LABEL
-            buckets[label].add(len(source), pair_values)
+        if pair_values:
+            n = min(len(pair_values), POOLED_BUCKET_MIN)
+            buckets[n - 1].add(len(source), pair_values)
             total.add(len(source), pair_values)
     rows = [
-        buckets[label].row(label, total.groups)
-        for label in labels
-        if buckets[label].groups
+        bucket.row(str(n) if n < POOLED_BUCKET_MIN else f">={n}", total.groups)
+        for n, bucket in enumerate(buckets, 1)
+        if bucket.groups
     ]
     if rows:
         rows.append(total.row(TOTAL_LABEL, total.groups))

@@ -66,7 +66,6 @@ from gecclean.m2 import (
     _decode_s_line,
 )
 from gecclean.stats import (
-    _POOLED_LABEL,
     POOLED_BUCKET_MIN,
     TOTAL_LABEL,
     CorpusStats,
@@ -467,7 +466,8 @@ def overall_stats_by_line(samples) -> CorpusStats:
 
 def bucket_stats_by_group(groups):
     """The breakdown over groups already filtered to erroneous targets."""
-    labels = [str(n) for n in range(1, POOLED_BUCKET_MIN)] + [_POOLED_LABEL]
+    pooled = f">={POOLED_BUCKET_MIN}"
+    labels = [str(n) for n in range(1, POOLED_BUCKET_MIN)] + [pooled]
     buckets = {label: _BucketAccumulator() for label in labels}
     total = _BucketAccumulator()
     group_count = 0
@@ -475,7 +475,7 @@ def bucket_stats_by_group(groups):
         group_count += 1
         pair_values = [_pair_values(group.source, target) for target in group.targets]
         size = len(group.targets)
-        label = str(size) if size < POOLED_BUCKET_MIN else _POOLED_LABEL
+        label = str(size) if size < POOLED_BUCKET_MIN else pooled
         buckets[label].add(len(group.source), pair_values)
         total.add(len(group.source), pair_values)
     if group_count == 0:

@@ -36,6 +36,7 @@ from gecclean.textmetrics import (
     levenshtein_distance,
     levenshtein_ratio,
 )
+from million_corpus import generate_million_line_corpus as _generate_million_line_corpus
 from oracles import levenshtein_recursive
 
 DATA = Path(__file__).parent / "data"
@@ -249,26 +250,6 @@ def test_criterion_8_stats_golden_file():
             else:
                 assert got[key] == pytest.approx(value, abs=1e-9)
     _report(8, "golden report byte-exact in text mode, within 1e-9 in JSON")
-
-
-def _generate_million_line_corpus(path: Path) -> int:
-    rng = random.Random(900_001)
-    alphabet = "我能胜任这此职务不是很好的了在有人中就时要一会对生到和说出得着过天上们来去里后自己"
-    lines = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as out:
-        while lines < 1_000_000:
-            source = "".join(rng.choices(alphabet, k=rng.randint(10, 25)))
-            if rng.random() < 0.4 and lines + 2 <= 1_000_000:
-                chars = list(source)
-                chars[rng.randrange(len(chars))] = rng.choice(alphabet)
-                first = "".join(chars)
-                second = source[: len(source) - 1]
-                out.write(f"{source}\t{first}\n{source}\t{second}\n")
-                lines += 2
-            else:
-                out.write(f"{source}\t{source[:-1]}{rng.choice(alphabet)}\n")
-                lines += 1
-    return lines
 
 
 def test_criterion_9_determinism_and_throughput(tmp_path):

@@ -148,7 +148,9 @@ class TestPerGroupMemory:
     The difference between two corpus sizes cancels the constant costs.
     On Python 3.10-3.13, with a dict of targets per source and a list of
     groups, ``clean`` read 357-454 bytes a group and ``stats`` 421-537;
-    with a lone target held as its string, 179-229 and 286-361.
+    with a lone target held as its string, 179-229 and 286-361; with
+    equal per-pair values in ``stats`` sharing one tuple, ``stats`` read
+    213-255, against 292-335 without it on the same machine.
     """
 
     SIZES = (4000, 8000)
@@ -164,15 +166,13 @@ class TestPerGroupMemory:
             tracemalloc.stop()
 
     @pytest.mark.parametrize(
-        "argv, bound",
-        [(["clean", "--strategy", "lev_sim"], 290), (["stats"], 390)],
-        ids=["clean", "stats"],
+        "argv", [["clean", "--strategy", "lev_sim"], ["stats"]], ids=["clean", "stats"]
     )
-    def test_singleton_groups(self, tmp_path, argv, bound):
+    def test_singleton_groups(self, tmp_path, argv):
         # Imports and caches fill before anything is traced.
         self.peak(tmp_path, argv, 10)
         small, large = (self.peak(tmp_path, argv, n) for n in self.SIZES)
-        assert (large - small) / (self.SIZES[1] - self.SIZES[0]) < bound
+        assert (large - small) / (self.SIZES[1] - self.SIZES[0]) < 290
 
 
 class TestStats:

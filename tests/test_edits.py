@@ -554,59 +554,12 @@ class TestOnlyCoreFilled:
 CORE_ALPHABET = "ab我能𠀀😀e\u0301"
 
 
-@st.composite
-def forced_cores(draw, lengths=st.sampled_from([1, 2]) | st.integers(3, 12)):
-    """Random affixes around an equal-length core whose ends alone differ.
-
-    Returns s, t and the core's span in both.  t's copy of the core
-    replaces its first and last characters by other ones, and its interior
-    matches, so the common affixes are exactly the drawn ones.
-    """
-    text = st.text(alphabet=CORE_ALPHABET, max_size=8)
-    head, tail = draw(text), draw(text)
-    length = draw(lengths)
-    core = draw(st.text(alphabet=CORE_ALPHABET, min_size=length, max_size=length))
-    first = draw(st.sampled_from(CORE_ALPHABET).filter(lambda c: c != core[0]))
-    last = draw(st.sampled_from(CORE_ALPHABET).filter(lambda c: c != core[-1]))
-    other = first if length == 1 else first + core[1:-1] + last
-    return head + core + tail, head + other + tail, len(head), len(head) + length
-
-
 def passes_run(s, t, annotator_id=0):
     """extract_edits(s, t, annotator_id) and the number of bit-vector passes it ran."""
     run = edits.bit_vector_columns
     with mock.patch.object(edits, "bit_vector_columns", wraps=run) as passes:
         annotation = extract_edits(s, t, annotator_id)
     return annotation, passes.call_count
-
-
-class TestForcedCoreTakesNoPass:
-    """An equal-length core that differs only at its two ends has an
-    all-diagonal path, which extract_edits writes without a pass."""
-
-    @given(forced_cores(), st.integers(0, 2**70))
-    @settings(max_examples=400)
-    def test_matches_full_matrix_without_a_pass(self, pair, annotator_id):
-        s, t, _, _ = pair
-        annotation, passes = passes_run(s, t, annotator_id)
-        expected = merge_path(align_full_matrix(s, t), t)
-        assert annotation == Annotation(expected, annotator_id)
-        assert type(annotation) is Annotation and type(annotation.edits) is tuple
-        assert passes == 0
-
-    @given(forced_cores(lengths=st.integers(3, 12)), st.data())
-    @settings(max_examples=200)
-    def test_third_substitution_runs_one_pass(self, pair, data):
-        # One interior character replaced too: the Hamming distance is 3,
-        # but a shift can leave the core at distance 2 ("abc" against
-        # "bca"), and then it takes no pass either.
-        s, t, start, end = pair
-        k = data.draw(st.integers(start + 1, end - 2))
-        other = data.draw(st.sampled_from(CORE_ALPHABET).filter(lambda c: c != t[k]))
-        t = t[:k] + other + t[k + 1 :]
-        annotation, passes = passes_run(s, t)
-        assert annotation.edits == merge_path(align_full_matrix(s, t), t)
-        assert passes == (levenshtein_recursive(s[start:end], t[start:end]) > 2)
 
 
 # The steps a core's two edits take, as characters of s and of t:
@@ -653,13 +606,20 @@ class TestDistanceTwoTakesNoPass:
                 assert levenshtein_distance(s, t) == d == levenshtein_distance_by_trim(s, t)
 
     @given(two_step_cores(), st.integers(0, 2**70))
+    @example(("我a😀", "我b😀"), 0)
     @settings(max_examples=400)
     def test_matches_full_matrix_without_a_pass(self, pair, annotator_id):
         s, t = pair
-        annotation, passes = passes_run(s, t, annotator_id)
+        run = edits._two_steps
+        with mock.patch.object(edits, "_two_steps", wraps=run) as two_steps:
+            annotation, passes = passes_run(s, t, annotator_id)
         expected = merge_path(align_full_matrix(s, t), t)
         assert annotation == Annotation(expected, annotator_id)
+        assert type(annotation) is Annotation and type(annotation.edits) is tuple
         assert passes == 0
+        if len(s) == len(t) and sum(map(str.__ne__, s, t)) == 1:
+            # A 1 x 1 core is one substitution, written before any comparison.
+            assert two_steps.call_count == 0
         run = textmetrics.bit_vector_columns
         with mock.patch.object(textmetrics, "bit_vector_columns", wraps=run) as distance:
             assert levenshtein_distance(s, t) == levenshtein_distance(t, s)

@@ -7,6 +7,7 @@ at.
 
 from __future__ import annotations
 
+import io
 import unicodedata
 from typing import IO, Iterable, Iterator, NamedTuple
 
@@ -62,14 +63,25 @@ def normalize(text: str) -> str:
 def read_lines(lines: Iterable[str | bytes]) -> Iterator[tuple[int, str]]:
     """Yield ``(number, line)`` for each input line, numbered from 1.
 
+    ``lines`` are text or bytes lines, or a binary stream
+    (``io.BufferedIOBase``, such as a file opened ``"rb"``).  A stream is
+    read in blocks of ``io.DEFAULT_BUFFER_SIZE`` (8 KiB) bytes and split at
+    "\n" only, so a lone "\r" inside a line is data; each block is decoded
+    once, up to its last "\n", and a line that spans blocks is joined once.
     Bytes are decoded as UTF-8, and the line ending is dropped: every
-    trailing "\r" and "\n", so LF and CRLF read alike.  A "\r" inside a
-    line is data; iterate a binary stream, which splits at "\n" only, to
-    keep it there.  A byte-order mark (U+FEFF) that starts line 1 is
-    dropped, as the ``utf-8-sig`` codec drops it.  Invalid UTF-8 raises
-    ``ParallelFormatError``.
+    trailing "\r" and "\n", so LF and CRLF read alike.  A byte-order mark
+    (U+FEFF) that starts line 1 is dropped, as the ``utf-8-sig`` codec
+    drops it.  Invalid UTF-8 raises ``ParallelFormatError`` once the lines
+    before it are yielded.
     """
-    for number, raw in enumerate(lines, 1):
+    if isinstance(lines, io.BufferedIOBase):
+        return _read_stream(lines)
+    return _read_each(lines, 1)
+
+
+def _read_each(lines: Iterable[str | bytes], first: int) -> Iterator[tuple[int, str]]:
+    """``read_lines`` over lines one at a time, numbered from ``first``."""
+    for number, raw in enumerate(lines, first):
         if isinstance(raw, bytes):
             try:
                 raw = raw.decode("utf-8")
@@ -78,6 +90,56 @@ def read_lines(lines: Iterable[str | bytes]) -> Iterator[tuple[int, str]]:
         if number == 1 and raw.startswith("\ufeff"):
             raw = raw[1:]
         yield number, raw.rstrip("\r\n")
+
+
+def _read_stream(stream: IO[bytes]) -> Iterator[tuple[int, str]]:
+    """``read_lines`` over a binary stream, one run of whole lines at a time."""
+    number = 1
+    for run in _line_runs(stream):
+        try:
+            lines = run.decode("utf-8").split("\n")
+        except UnicodeDecodeError:
+            # "\n" is never part of a multibyte sequence, so a line of the
+            # run fails alone: read line by line, the lines before it are
+            # yielded and the error names it.
+            yield from _read_each(io.BytesIO(run), number)
+            raise AssertionError("a run failed to decode, but each of its lines decoded")
+        if run.endswith(b"\n"):
+            lines.pop()
+        if number == 1 and lines[0].startswith("\ufeff"):
+            lines[0] = lines[0][1:]
+        if b"\r" in run:
+            lines = [line.rstrip("\r") for line in lines]
+        yield from enumerate(lines, number)
+        number += len(lines)
+
+
+def _line_runs(stream: IO[bytes]) -> Iterator[bytes]:
+    """The stream's bytes as runs of whole lines, read a block at a time.
+
+    A run ends at the last "\n" of a block, or at the end of the stream.
+    The pieces of a line that spans blocks are kept in a list and joined
+    once, so a long line costs time linear in its length.
+    """
+    pieces: list[bytes] = []
+    while block := stream.read(io.DEFAULT_BUFFER_SIZE):
+        end = block.rfind(b"\n") + 1
+        if not end:
+            pieces.append(block)
+            continue
+        pieces.append(block[:end])
+        yield _joined(pieces)
+        if end < len(block):
+            pieces.append(block[end:])
+    if pieces:
+        yield _joined(pieces)
+
+
+def _joined(pieces: list[bytes]) -> bytes:
+    """``pieces`` joined; the list is emptied, so a long line is not held twice."""
+    joined = b"".join(pieces)
+    pieces.clear()
+    return joined
 
 
 def parse_parallel(

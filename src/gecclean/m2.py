@@ -22,6 +22,7 @@ that is ``-NONE-``, holds ``|||`` or ends in ``|``.
 
 from __future__ import annotations
 
+import functools
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus import ParallelFormatError, normalize, read_lines
@@ -45,6 +46,13 @@ def _check_replacement(replacement: str) -> None:
 def _check_annotator_id(annotator_id: int) -> None:
     if annotator_id < 0:
         raise ValueError("annotator_id must be non-negative")
+
+
+def _span_kind(start: int, end: int, replacement: str) -> str:
+    """The edit kind of a span's shape, as the module docstring lists them."""
+    if start == end:
+        return "M"
+    return "R" if replacement else "U"
 
 
 def _check_order(before: Edit, after: Edit) -> None:
@@ -78,11 +86,7 @@ class Edit(_EditFields):
 
     @property
     def kind(self) -> str:
-        if self.start == self.end:
-            return "M"
-        if not self.replacement:
-            return "U"
-        return "R"
+        return _span_kind(*self)
 
 
 class _AnnotationFields(NamedTuple):
@@ -188,6 +192,34 @@ def _decode_s_line(remainder: str, line_number: int) -> str:
     return source
 
 
+# Spans and annotator ids repeat across a file's A lines, so each distinct
+# text is parsed once while it stays among the last _MEMO_SIZE parsed.
+# int() reads at most 4,300 digits by default, so the memo holds a few MB
+# at most.
+_MEMO_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _parse_span(span: str) -> tuple[int, int]:
+    """``span``'s start and end; ValueError unless ``to_m2`` writes it so.
+
+    int() alone also reads "+0", "0_0", "01" and non-ASCII digits.
+    """
+    start, end = map(int, span.split(" "))
+    if f"{start} {end}" != span:
+        raise ValueError(span)
+    return start, end
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _parse_annotator_id(annotator: str) -> int:
+    """``annotator`` as a number; ValueError unless ``to_m2`` writes it so."""
+    annotator_id = int(annotator)
+    if str(annotator_id) != annotator:
+        raise ValueError(annotator)
+    return annotator_id
+
+
 def _parse_block(lines: list[str], first_line_number: int) -> tuple[str, list[Annotation]]:
     # ``lines`` are a block's lines without their line endings: at least
     # one, and no trailing blank one.
@@ -213,20 +245,14 @@ def _parse_block(lines: list[str], first_line_number: int) -> tuple[str, list[An
                 f"expected 6 '|||'-separated fields, found {len(fields)}", number
             )
         span, kind, replacement, required, comment, annotator = fields
-        # Only numbers as to_m2 writes them: int() alone also reads "+0",
-        # "0_0", "01" and non-ASCII digits.
         try:
-            start, end = map(int, span.split(" "))
-            if f"{start} {end}" != span:
-                raise ValueError(span)
+            start, end = _parse_span(span)
         except ValueError:
             raise M2FormatError(f"bad edit span {span!r}", number) from None
         if required != "REQUIRED" or comment != _NONE_FIELD:
             raise M2FormatError("unexpected REQUIRED/-NONE- fields", number)
         try:
-            annotator_id = int(annotator)
-            if str(annotator_id) != annotator:
-                raise ValueError(annotator)
+            annotator_id = _parse_annotator_id(annotator)
         except ValueError:
             raise M2FormatError(f"bad annotator id {annotator!r}", number) from None
         if annotator_id < 0:
@@ -256,12 +282,13 @@ def _parse_block(lines: list[str], first_line_number: int) -> tuple[str, list[An
             _check_replacement(text)
         except ValueError as exc:
             raise M2FormatError(str(exc), number) from None
+        shape = _span_kind(start, end, text)
+        if shape != kind:
+            raise M2FormatError(
+                f"kind {kind} inconsistent with span shape ({shape})", number
+            )
         # The span is valid: it lies within the source.
         edit = tuple.__new__(Edit, (start, end, text))
-        if edit.kind != kind:
-            raise M2FormatError(
-                f"kind {kind} inconsistent with span shape ({edit.kind})", number
-            )
         if edits is None:
             collected[annotator_id] = [edit]
         elif not edits:
@@ -310,11 +337,13 @@ def read_m2_file(
 ) -> Iterator[tuple[str, list[Annotation]]]:
     """Parse a whole M2 file into (source, annotations) entries.
 
-    ``lines`` are text or bytes lines, such as a file opened ``"rb"``; they
-    are read by ``corpus.read_lines``, so a line ends at LF or CRLF and
-    invalid UTF-8 raises ``ParallelFormatError`` with its line number.
-    Blocks must be separated by exactly one blank line; trailing blank
-    lines at end of file are tolerated.
+    ``lines`` are text or bytes lines, or a binary stream such as a file
+    opened ``"rb"``, which is read in 8 KiB blocks.  Either is read by
+    ``corpus.read_lines``, so a line ends at LF or CRLF and invalid UTF-8
+    raises ``ParallelFormatError`` with its line number.  Each block is
+    parsed once its blank line or the end of the file is read, and entries
+    come one at a time.  Blocks must be separated by exactly one blank
+    line; trailing blank lines at end of file are tolerated.
     """
     block: list[str] = []
     stray_blank: int | None = None

@@ -19,14 +19,18 @@ before it took every other character.  These two share only the package's
 ``read_m2_file_by_join`` are the M2 block parser and file reader the
 package used before the reader handed each block's lines straight to the
 parser: the reader joins a block's lines into one string, which the parser
-splits again, and a noop annotator is a ``None`` entry.  Each A line goes
-through ``_parse_a_line``, the package's A-line parser from before its
-block parser read each line in one pass and built each record once: it
-builds an ``Edit`` through its validating constructor, and each edit is
-checked against its annotator's previous one through a pairwise
-``Annotation``.  They share the package's line reader, S-line decoder and
-record types, so they check every field check and its message as well as
-block structure: line numbers, blank lines, noops and edit order.
+splits again, and a noop annotator is a ``None`` entry.  The reader reads
+its lines through ``read_lines_by_line``, the line reader the package used
+before it read a binary stream in blocks: it decodes and strips each line
+alone, as iterating the stream yields them.  Each A line goes through
+``_parse_a_line``, the package's A-line parser from before its block
+parser read each line in one pass, built each record once and parsed each
+distinct span and annotator id once: it builds an ``Edit`` through its
+validating constructor, and each edit is checked against its annotator's
+previous one through a pairwise ``Annotation``.  They share the package's
+S-line decoder, record types and kind rule, so they check every field
+check and its message as well as block structure: line numbers, blank
+lines, noops and edit order.
 ``overall_stats_by_line`` and ``bucket_stats_by_group`` are the two
 statistics passes the package made before ``corpus_stats`` read the
 samples once: a distance per line for the overall table, then one
@@ -47,15 +51,20 @@ it splices each edit into a list of characters, right to left.
 source with one target held that target as a string and the command line
 took its groups as an iterator: every source holds a dict of its targets,
 and the list of groups is built before it is returned.  It shares the
-package's ``SourceGroup`` only.
+package's ``SourceGroup`` only.  ``TrickleStream`` is no reference but the
+input that tests the block readers against ``read_lines_by_line``: a binary
+stream whose reads return a few bytes each, so characters, line endings
+and lines straddle its blocks.
 """
 
 from __future__ import annotations
 
 import functools
+import io
+import itertools
 from typing import Sequence
 
-from gecclean.corpus import SourceGroup, normalize, read_lines
+from gecclean.corpus import ParallelFormatError, SourceGroup, normalize
 from gecclean.edits import extract_edits
 from gecclean.m2 import (
     _NONE_FIELD,
@@ -416,12 +425,47 @@ def parse_m2_by_join(
     return source, annotations
 
 
+def read_lines_by_line(lines):
+    """Yield ``(number, line)`` for each line, decoding and stripping it alone."""
+    for number, raw in enumerate(lines, 1):
+        if isinstance(raw, bytes):
+            try:
+                raw = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParallelFormatError(f"invalid UTF-8: {exc}", number) from exc
+        if number == 1 and raw.startswith("\ufeff"):
+            raw = raw[1:]
+        yield number, raw.rstrip("\r\n")
+
+
+class TrickleStream(io.BufferedIOBase):
+    """A binary stream over ``data`` whose reads return 1-7 bytes each.
+
+    The sizes cycle through ``sizes``; a reader that reads it in blocks
+    sees every multibyte character, CRLF and line split across blocks.
+    """
+
+    def __init__(self, data: bytes, sizes: Sequence[int] = (1, 7, 2, 5, 3)):
+        self._data = memoryview(data)
+        self._sizes = itertools.cycle(sizes)
+
+    def readable(self) -> bool:
+        return True
+
+    def read(self, size: int | None = -1) -> bytes:
+        if size is None or size < 0:
+            size = len(self._data)
+        size = min(size, next(self._sizes))
+        chunk, self._data = self._data[:size].tobytes(), self._data[size:]
+        return chunk
+
+
 def read_m2_file_by_join(lines):
     """Read an M2 file block by block, joining each block's lines for the parser."""
     block: list[str] = []
     block_start = 1
     stray_blank: int | None = None
-    for number, line in read_lines(lines):
+    for number, line in read_lines_by_line(lines):
         if line == "":
             if block:
                 yield parse_m2_by_join("\n".join(block) + "\n", block_start)

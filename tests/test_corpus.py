@@ -1,8 +1,10 @@
 import io
+import time
+import tracemalloc
 import unicodedata
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gecclean import cli
 from gecclean.corpus import (
@@ -17,7 +19,25 @@ from gecclean.corpus import (
     read_lines,
     write_parallel,
 )
-from oracles import group_by_source_by_dicts
+from oracles import TrickleStream, group_by_source_by_dicts, read_lines_by_line
+
+# Byte pieces of the reader's input files: line endings, byte-order marks,
+# multibyte characters and invalid or truncated UTF-8.
+LINE_BYTES = [
+    b"a", b" ", b"\t", b"\n", b"\r\n", b"\r", "\ufeff".encode(), "我".encode(),
+    "\U0001F600".encode(), b"\xff", b"\xe6\x88", b"\x80",
+]
+
+
+def read_outcome(numbered) -> tuple[list, tuple | None]:
+    """The ``(number, line)`` pairs a line reader yields, and the error that stops it."""
+    got = []
+    try:
+        for pair in numbered:
+            got.append(pair)
+    except ParallelFormatError as exc:
+        return got, (type(exc), str(exc), exc.line_number)
+    return got, None
 
 
 class TestNormalize:
@@ -108,6 +128,55 @@ class TestParseParallel:
         buffer = io.StringIO()
         assert write_parallel(samples, buffer) == 2
         assert list(parse_parallel(buffer.getvalue().splitlines(True))) == samples
+
+
+class TestReadLines:
+    """A binary stream is read in blocks; it reads as its lines read one by one."""
+
+    @given(
+        st.booleans(),
+        st.lists(st.sampled_from(LINE_BYTES), max_size=60),
+        st.lists(st.integers(1, 7), min_size=1, max_size=8),
+    )
+    @example(False, [], [1])
+    @example(True, [b"a"], [1])
+    def test_blocks_match_line_by_line(self, bom, pieces, sizes):
+        data = "\ufeff".encode() * bom + b"".join(pieces)
+        assert read_outcome(read_lines(TrickleStream(data, sizes))) == read_outcome(
+            read_lines_by_line(io.BytesIO(data))
+        )
+
+    def test_8_kib_blocks_match_line_by_line(self):
+        # Characters and CRLF endings straddle the block edges, and the
+        # invalid byte is in the third block.
+        line = "我".encode() * 700 + b"\r\n"
+        data = line * 9 + b"\xff" + line
+        assert read_outcome(read_lines(io.BytesIO(data))) == read_outcome(
+            read_lines_by_line(io.BytesIO(data))
+        )
+
+    def test_a_long_line_takes_linear_time_and_memory(self):
+        def seconds(data: bytes) -> float:
+            start = time.perf_counter()
+            ((_, line),) = read_lines(io.BytesIO(data))
+            return time.perf_counter() - start
+
+        short, long = b"a" * 2**20, b"a" * 2**23
+        # 8x the bytes: joining the line once takes 8x the time, and up to
+        # 20x where fresh memory is slow to map; adding each block to the
+        # line read so far takes 64-90x.
+        ratio = min(map(seconds, [long] * 5)) / min(map(seconds, [short] * 5))
+        assert ratio < 32
+        for data in (short, long):
+            stream = io.BytesIO(data)
+            tracemalloc.start()
+            try:
+                ((_, line),) = read_lines(stream)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert line == data.decode()
+            assert peak <= 3 * len(data)
 
 
 class TestGrouping:

@@ -25,6 +25,7 @@ from gecclean.scorer import evaluate_sentence
 from gecclean import textmetrics
 from gecclean.textmetrics import levenshtein_distance
 from oracles import (
+    TrickleStream,
     align_full_matrix,
     apply_edits_by_splice,
     canonical_min_path,
@@ -1023,6 +1024,27 @@ class TestM2File:
             list(read_m2_file(io.BytesIO(data)))
         assert excinfo.value.line_number == 3
 
+    @pytest.mark.parametrize(
+        "span, annotator, error",
+        [
+            ("01 2", "0", "bad edit span '01 2'"),
+            ("+1 2", "0", "bad edit span '+1 2'"),
+            ("１ 2", "0", "bad edit span '１ 2'"),
+            ("1 2", "00", "bad annotator id '00'"),
+            ("1 2", "０", "bad annotator id '０'"),
+        ],
+    )
+    def test_a_parsed_field_does_not_pass_its_twin(self, span, annotator, error):
+        # Block 1 parses "1 2" and "0" first; the same numbers written
+        # otherwise on line 5 are still rejected there.
+        line = "A {}|||R|||x|||REQUIRED|||-NONE-|||{}\n"
+        text = "S a b c\n" + line.format("1 2", "0")
+        text += "\nS a b c\n" + line.format(span, annotator)
+        first = ("abc", [Annotation((Edit(1, 2, "x"),))])
+        expected = ([first], (M2FormatError, f"line 5: {error}", 5))
+        assert m2_outcome(read_m2_file(text.splitlines(True))) == expected
+        assert m2_outcome(read_m2_file(TrickleStream(text.encode("utf-8")))) == expected
+
     @pytest.mark.parametrize("error_type", [ParallelFormatError, M2FormatError])
     def test_both_errors_are_built_message_then_line_number(self, error_type):
         error = error_type("x", 3)
@@ -1097,13 +1119,16 @@ class TestM2File:
     @settings(max_examples=400)
     def test_reader_and_parser_match_join_oracle(self, lines, crlf):
         # Entries, or the same error type, message and line number, as the
-        # reader and parser that joined each block's lines and split them.
-        file_lines = [line + "\n" for line in lines]
+        # reader and parser that joined each block's lines and split them,
+        # from the file's lines and from a stream of its bytes.
+        ending = "\r\n" if crlf else "\n"
+        file_lines = [line + ending for line in lines]
         if crlf:
-            file_lines = [line.replace("\n", "\r\n").encode("utf-8") for line in file_lines]
-        assert m2_outcome(read_m2_file(file_lines)) == m2_outcome(
-            read_m2_file_by_join(file_lines)
-        )
+            file_lines = [line.encode("utf-8") for line in file_lines]
+        expected = m2_outcome(read_m2_file_by_join(file_lines))
+        assert m2_outcome(read_m2_file(file_lines)) == expected
+        stream = TrickleStream("".join(line + ending for line in lines).encode("utf-8"))
+        assert m2_outcome(read_m2_file(stream)) == expected
         # parse_m2 on each run of non-blank lines, and on the whole file;
         # it numbers a block's lines from 1.
         blocks = ["".join(line + "\n" for line in lines)]

@@ -25,9 +25,9 @@ def _read(path: str, parse, **options) -> Iterator:
     """Yield what ``parse(stream, **options)`` reads from ``path``, opened ``"rb"``.
 
     A bad line of any input raises ``ParallelFormatError`` with the line
-    only; the message becomes ``<path>: line N: ...``, and a read error that
-    names no file names ``path``.  Every input file is read through here, so
-    each input error names its file the same way.
+    only; the message becomes ``<path>: line N: ...``, and a read error,
+    which names no file, names ``path``.  Every input file is read through
+    here, so each input error names its file the same way.
     """
     from .corpus import ParallelFormatError
 
@@ -37,8 +37,6 @@ def _read(path: str, parse, **options) -> Iterator:
         except ParallelFormatError as exc:
             raise ValueError(f"{path}: {exc}") from exc
         except OSError as exc:
-            if exc.filename is not None:
-                raise
             raise OSError(exc.errno, exc.strerror, path) from None
 
 

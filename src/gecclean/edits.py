@@ -61,7 +61,8 @@ def extract_edits(s: str, t: str, annotator_id: int = 0) -> Annotation:
     Each maximal run of contiguous non-match steps of the minimum-cost
     alignment becomes one edit covering the source positions it consumed,
     with the covered target characters as replacement.  Identical
-    sentences yield no edits, without an alignment.
+    sentences yield no edits, without an alignment, and are never flagged
+    as long.
 
     The alignment is the one a backtrace over the full (m+1) x (n+1)
     distance matrix would take, breaking ties match > substitute > delete
@@ -88,15 +89,15 @@ def extract_edits(s: str, t: str, annotator_id: int = 0) -> Annotation:
     one per step, or one for both when no middle separates them.  A 1 x 1
     core is one substitution, written first.
     """
+    _check_annotator_id(annotator_id)
+    if s == t:
+        return tuple.__new__(Annotation, ((), annotator_id))
     m, n = len(s), len(t)
     if m > ALIGN_LENGTH_FLAG or n > ALIGN_LENGTH_FLAG:
         warnings.warn(
             f"aligning an unusually long pair (over {ALIGN_LENGTH_FLAG} characters)",
             stacklevel=2,
         )
-    _check_annotator_id(annotator_id)
-    if s == t:
-        return tuple.__new__(Annotation, ((), annotator_id))
     # D(i, j) = D(i-1, j-1) whenever s[i-1] == t[j-1], so the backtrace
     # takes a common suffix as matches.
     prefix, suffix = common_affixes(s, t)

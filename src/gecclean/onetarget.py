@@ -128,8 +128,9 @@ def build_ablation(
     group's targets are shuffled once with the seeded per-group stream, and
     the n-target dataset takes the first n shuffled targets.  The datasets
     therefore share their sources, have exactly n * groups samples, and are
-    per-group prefixes of one another.  ``max_groups`` optionally
-    sub-samples the surviving groups (seeded, order-preserving).
+    per-group prefixes of one another; a group's samples are made once and
+    shared by every dataset.  ``max_groups`` optionally sub-samples the
+    surviving groups (seeded, order-preserving).
     """
     sizes = sorted(set(n_values))
     if not sizes:
@@ -145,12 +146,11 @@ def build_ablation(
         chooser = _group_rng(seed, "")
         indices = sorted(chooser.sample(range(len(kept)), max_groups))
         kept = [kept[i] for i in indices]
-    shuffled: list[tuple[str, list[str]]] = []
+    datasets: dict[int, list[Sample]] = {n: [] for n in sizes}
     for group in kept:
         order = list(group.targets)
         _group_rng(seed, group.source).shuffle(order)
-        shuffled.append((group.source, order))
-    return {
-        n: [Sample(source, t) for source, order in shuffled for t in order[:n]]
-        for n in sizes
-    }
+        samples = [Sample(group.source, t) for t in order[: sizes[-1]]]
+        for n, dataset in datasets.items():
+            dataset += samples[:n]
+    return datasets

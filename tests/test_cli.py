@@ -143,20 +143,26 @@ class TestInputReadBeforeOutputs:
 
 
 class TestPerGroupMemory:
-    """Traced bytes per group where every source has one target.
+    """Traced bytes per group.
 
     The difference between two corpus sizes cancels the constant costs.
-    On Python 3.10-3.13, with a dict of targets per source and a list of
-    groups, ``clean`` read 357-454 bytes a group and ``stats`` 421-537;
-    with a lone target held as its string, 179-229 and 286-361; with
-    equal per-pair values in ``stats`` sharing one tuple, ``stats`` read
-    213-255, against 292-335 without it on the same machine.
+    On Python 3.10-3.13, where every source has one target, with a dict of
+    targets per source and a list of groups, ``clean`` read 357-454 bytes
+    a group and ``stats`` 421-537; with a lone target held as its string,
+    179-229 and 286-361; with equal per-pair values in ``stats`` sharing
+    one tuple, ``stats`` read 213-255, against 292-335 without it on the
+    same machine.  Where every source has two targets, ``ablate`` read
+    688-737 while it made each dataset's samples apart, and 545-651 with
+    every dataset sharing a group's samples.
     """
 
     SIZES = (4000, 8000)
 
-    def peak(self, tmp_path, argv, groups):
-        lines = "".join(f"{i:06d}我能胜任\t{i:06d}我能胜这\n" for i in range(groups))
+    def peak(self, tmp_path, argv, groups, last_chars):
+        # One target per character of ``last_chars``, which ends it.
+        lines = "".join(
+            f"{i:06d}我能胜任\t{i:06d}我能胜{last}\n" for i in range(groups) for last in last_chars
+        )
         corpus = write(tmp_path / f"in{groups}.tsv", lines)
         tracemalloc.start()
         try:
@@ -165,14 +171,21 @@ class TestPerGroupMemory:
         finally:
             tracemalloc.stop()
 
+    def per_group(self, tmp_path, argv, last_chars) -> float:
+        # Imports and caches fill before anything is traced.
+        self.peak(tmp_path, argv, 10, last_chars)
+        small, large = (self.peak(tmp_path, argv, n, last_chars) for n in self.SIZES)
+        return (large - small) / (self.SIZES[1] - self.SIZES[0])
+
     @pytest.mark.parametrize(
         "argv", [["clean", "--strategy", "lev_sim"], ["stats"]], ids=["clean", "stats"]
     )
     def test_singleton_groups(self, tmp_path, argv):
-        # Imports and caches fill before anything is traced.
-        self.peak(tmp_path, argv, 10)
-        small, large = (self.peak(tmp_path, argv, n) for n in self.SIZES)
-        assert (large - small) / (self.SIZES[1] - self.SIZES[0]) < 290
+        assert self.per_group(tmp_path, argv, "这") < 290
+
+    def test_two_target_groups(self, tmp_path):
+        argv = ["ablate", "--k-min", "2", "--n-values", "1,2"]
+        assert self.per_group(tmp_path, argv, "这那") < 670
 
 
 class TestStats:
@@ -347,6 +360,17 @@ class TestM2Pipeline:
         )
         assert out.read_text(encoding="utf-8") == "previous\n"
         assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_long_identity_pair_is_not_flagged(self, tmp_path):
+        # An identical pair takes no alignment, as stats already skips it.
+        long = "a" * 600
+        corpus = write(tmp_path / "in.tsv", f"{long}\t{long}\n")
+        hyp = write(tmp_path / "hyp.txt", f"{long}\n")
+        gold = str(tmp_path / "gold.m2")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["to-m2", str(corpus), "-o", gold]) == 0
+            assert main(["score", "--gold", gold, "--hyp", str(hyp)]) == 0
 
     @pytest.mark.parametrize(
         "command, bad_file",

@@ -1,10 +1,15 @@
 """The CLI's whole data flow against a model that never calls gecclean.
 
 Hypothesis writes small corpora with LF and CRLF endings, space-padded
-fields, blank and repeated lines, identity targets, multi-target lines, an
-astral character and "e" + U+0301, which NFC composes to "é".  Every
-command runs through ``cli.main``; the model parses, normalizes and groups
-the corpus with the stdlib alone and ranks targets with ``tests/oracles.py``.
+fields, repeated lines, blank lines that are empty or hold spaces and tabs,
+identity targets, multi-target lines, an astral character and "e" + U+0301,
+which NFC composes to "é".  Every command runs through ``cli.main``; the
+model parses, normalizes and groups the corpus with the stdlib alone and
+ranks targets with ``tests/oracles.py``.
+
+The CLI's data flow is checked here, and each sidecar's count; each paper
+criterion in ``test_acceptance.py``; format errors, sidecar contents and
+failed writes in ``test_cli.py``.
 """
 
 import errno
@@ -18,13 +23,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from gecclean.cli import main
 from oracles import align_full_matrix, levenshtein_distance_dp, merge_path
 
 # Base sentences are NFC; U+00E9 may be written decomposed, U+20000 is astral.
 ALPHABET = "ab我 \U00020000\u00e9"
+
+BLANK_LINES = ["", " ", "  ", "\t", " \t "]
 
 sentences = st.text(alphabet=ALPHABET, min_size=1, max_size=8).map(str.strip).filter(bool)
 
@@ -55,7 +62,7 @@ def corpora(draw) -> tuple[bytes, bool]:
             lines.append(draw(st.sampled_from(lines)))  # a repeated line
             continue
         if lines and draw(st.integers(0, 9)) == 0:
-            lines.append(" " * draw(st.integers(0, 2)))  # a blank line
+            lines.append(draw(st.sampled_from(BLANK_LINES)))
             continue
         source = draw(st.sampled_from(pool))
         target = st.one_of(st.just(source), st.sampled_from(pool), edited(source))
@@ -210,7 +217,9 @@ def snapshot(work: Path) -> dict[str, bytes]:
     return {path.name: path.read_bytes() for path in sorted(work.iterdir())}
 
 
+# Blank lines first, between pairs and last, after LF and CRLF.
 @given(corpora())
+@example((b"\r\n \t \nab\tac\r\n\t\n\nab\tad\n  \n", False))
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_cli_matches_model(corpus):
     data, multi = corpus
@@ -227,15 +236,20 @@ def test_cli_matches_model(corpus):
         def read(name: str) -> str:
             return (work / name).read_bytes().decode("utf-8")
 
+        def config(name: str) -> dict:
+            return json.loads(read(f"{name}.meta.json"))["config"]
+
         for drop in DROPS:
             kept = model_groups(samples, bool(drop))
             for strategy, key in KEYS.items():
                 assert read(f"{strategy}{drop}.tsv") == model_clean(kept, key)
-                sidecar = json.loads(read(f"{strategy}{drop}.tsv.meta.json"))
-                assert sidecar["config"]["strategy"] == strategy
+                assert config(f"{strategy}{drop}.tsv")["strategy"] == strategy
+                assert config(f"{strategy}{drop}.tsv")["samples"] == len(kept)
             check_m2_blocks(read(f"gold{drop}.m2"), kept)
-            expected = "".join(t + "\n" for _, targets in kept for t in targets)
-            assert read(f"applied{drop}.txt") == expected
+            assert config(f"gold{drop}.m2")["entries"] == len(kept)
+            applied = [t for _, targets in kept for t in targets]
+            assert read(f"applied{drop}.txt") == "".join(t + "\n" for t in applied)
+            assert config(f"applied{drop}.txt")["sentences"] == len(applied)
 
         check_stats(json.loads(read("stats.json")), samples)
 

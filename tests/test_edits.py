@@ -2,6 +2,7 @@ import io
 import itertools
 import random
 import tracemalloc
+import warnings
 from unittest import mock
 
 import pytest
@@ -670,8 +671,10 @@ class TestExtractEdits:
         with pytest.raises(ValueError, match="annotator_id must be non-negative"):
             extract_edits("ab", t, -1)
 
-    def test_long_identity_pair_is_flagged(self):
-        with pytest.warns(UserWarning, match="unusually long"):
+    def test_long_identity_pair_is_not_flagged(self):
+        # It takes no alignment, and stats skips it: no command flags it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert extract_edits("a" * 513, "a" * 513) == Annotation(())
 
     def test_single_substitution(self):

@@ -7,9 +7,11 @@ which NFC composes to "é".  Every command runs through ``cli.main``; the
 model parses, normalizes and groups the corpus with the stdlib alone and
 ranks targets with ``tests/oracles.py``.
 
-The CLI's data flow is checked here, and each sidecar's count; each paper
-criterion in ``test_acceptance.py``; format errors, sidecar contents and
-failed writes in ``test_cli.py``.
+The CLI's data flow is checked here, with each sidecar's count, and so
+are most failed writes: an output or sidecar that cannot be opened,
+written out to a full disk or renamed.  Each paper criterion is checked in
+``test_acceptance.py``; format errors, whole sidecars and the other
+hand-picked cases in ``test_cli.py``.
 """
 
 import errno
@@ -203,7 +205,10 @@ def run_commands(work: Path, multi: bool) -> None:
         options = layout + ["--drop-correct"] * bool(drop)
         for strategy in KEYS:
             output = str(work / f"{strategy}{drop}.tsv")
-            assert main(["clean", corpus, "-o", output, "--strategy", strategy] + options) == 0
+            # --threads changes nothing; perfbench times edi_least with it.
+            threads = ["--threads", "2"] * (strategy == "edi_least")
+            argv = ["clean", corpus, "-o", output, "--strategy", strategy]
+            assert main(argv + options + threads) == 0
         m2 = str(work / f"gold{drop}.m2")
         assert main(["to-m2", corpus, "-o", m2] + options) == 0
         assert main(["apply-m2", m2, "-o", str(work / f"applied{drop}.txt")]) == 0
@@ -217,9 +222,14 @@ def snapshot(work: Path) -> dict[str, bytes]:
     return {path.name: path.read_bytes() for path in sorted(work.iterdir())}
 
 
-# Blank lines first, between pairs and last, after LF and CRLF.
+# Blank lines first, between pairs and last, after LF and CRLF; two groups,
+# one with two targets; an identity group, which --drop-correct removes;
+# one line with two targets.
 @given(corpora())
 @example((b"\r\n \t \nab\tac\r\n\t\n\nab\tad\n  \n", False))
+@example((b"abcd\tabcf\nabcd\tab\npq\tpqr\n", False))
+@example((b"aa\taa\nbb\tbc\n", False))
+@example((b"s\tt1\tt2\n", True))
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_cli_matches_model(corpus):
     data, multi = corpus
@@ -255,6 +265,7 @@ def test_cli_matches_model(corpus):
 
         score = json.loads(read("score.json"))
         assert score["fp"] == score["fn"] == 0
+        assert score["precision"] == score["recall"] == score["f0.5"] == 1.0
         assert score["tp"] == sum(edit_count(s, targets[0]) for s, targets in groups)
 
         before = snapshot(work)

@@ -54,7 +54,10 @@ and the list of groups is built before it is returned.  It shares the
 package's ``SourceGroup`` only.  ``TrickleStream`` is no reference but the
 input that tests the block readers against ``read_lines_by_line``: a binary
 stream whose reads return a few bytes each, so characters, line endings
-and lines straddle its blocks.
+and lines straddle its blocks.  ``edited_pairs`` is the other shared
+input: a hypothesis strategy for a string over an alphabet and a copy of
+it a few insertions, substitutions and deletions away, the near pairs that
+the distance kernel and the aligner must get right.
 """
 
 from __future__ import annotations
@@ -63,6 +66,8 @@ import functools
 import io
 import itertools
 from typing import Sequence
+
+from hypothesis import strategies as st
 
 from gecclean.corpus import ParallelFormatError, SourceGroup, normalize
 from gecclean.edits import extract_edits
@@ -458,6 +463,27 @@ class TrickleStream(io.BufferedIOBase):
         size = min(size, next(self._sizes))
         chunk, self._data = self._data[:size].tobytes(), self._data[size:]
         return chunk
+
+
+@st.composite
+def edited_pairs(draw, alphabet, max_size):
+    """A string and a copy of it a few insertions, substitutions and
+    deletions away."""
+    source = draw(st.text(alphabet=alphabet, max_size=max_size))
+    chars = list(source)
+    operations = st.tuples(
+        st.integers(0, 2), st.integers(0, max_size), st.sampled_from(alphabet)
+    )
+    for kind, position, char in draw(st.lists(operations, max_size=12)):
+        position %= len(chars) + 1
+        if kind == 0:
+            chars.insert(position, char)
+        elif position < len(chars):
+            if kind == 1:
+                chars[position] = char
+            else:
+                del chars[position]
+    return source, "".join(chars)
 
 
 def read_m2_file_by_join(lines):

@@ -31,6 +31,7 @@ from oracles import (
     apply_edits_by_splice,
     canonical_min_path,
     decode_s_line_by_tokens,
+    edited_pairs,
     levenshtein_distance_by_trim,
     levenshtein_recursive,
     merge_path,
@@ -67,26 +68,6 @@ def runs(draw):
         st.lists(st.tuples(st.sampled_from("ab我"), st.integers(1, 40)), max_size=8)
     )
     return "".join(char * count for char, count in parts)
-
-
-@st.composite
-def near_pairs(draw):
-    """A source of up to 300 characters and a target a few edits away."""
-    source = draw(st.text(alphabet=WIDE_ALPHABET, max_size=300))
-    chars = list(source)
-    operations = st.tuples(
-        st.integers(0, 2), st.integers(0, 300), st.sampled_from(WIDE_ALPHABET)
-    )
-    for kind, position, char in draw(st.lists(operations, max_size=12)):
-        position %= len(chars) + 1
-        if kind == 0:
-            chars.insert(position, char)
-        elif position < len(chars):
-            if kind == 1:
-                chars[position] = char
-            else:
-                del chars[position]
-    return source, "".join(chars)
 
 
 # ASCII, space, CJK and astral characters for M2 sources and targets.
@@ -365,7 +346,7 @@ class TestBandedAlignMatchesFullMatrix:
     def test_repeated_character_runs(self, s, t):
         assert_matches_full_matrix(s, t)
 
-    @given(near_pairs())
+    @given(edited_pairs(WIDE_ALPHABET, 300))
     @settings(max_examples=200, deadline=None)
     def test_near_pairs(self, pair):
         assert_matches_full_matrix(*pair)
@@ -738,6 +719,8 @@ class TestApplyEdits:
             (Edit(0, 1, ""), Edit(2, 3, "")),
             (Edit(0, 3, "我"),),
             (Edit(0, 1, "xy"), Edit(1, 1, "z"), Edit(1, 2, ""), Edit(3, 3, "w")),
+            # The result is normalized: the space is trimmed, the mark composed.
+            (Edit(0, 0, " "), Edit(3, 3, "\u0301")),
         ],
     )
     def test_edits_at_either_end(self, edits):

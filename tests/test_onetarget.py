@@ -13,8 +13,6 @@ from gecclean.onetarget import (
 )
 from gecclean.textmetrics import jaccard_similarity, levenshtein_ratio
 
-TABLE_GROUP = SourceGroup("我能胜任这此职务", ("我能胜任这职务。", "我能胜任此职务。"))
-
 DETERMINISTIC = [s for s in Strategy if s is not Strategy.RANDOM]
 
 
@@ -57,22 +55,6 @@ class TestStrategyParsing:
         )
 
 
-class TestScoreTarget:
-    """The ranking key of each deterministic strategy, and none for random."""
-
-    def test_levenshtein_key(self):
-        assert levenshtein_ratio("abcd", "abcf") == pytest.approx(7 / 8)
-
-    def test_edit_count_key_on_identity(self):
-        assert edit_count("abc", "abc") == 0
-
-    def test_jaccard_key(self):
-        assert jaccard_similarity("我能胜任这此职务", "我能胜任这职务。") == pytest.approx(7 / 9)
-
-    def test_random_has_no_key(self):
-        assert _ranking(Strategy.RANDOM) is None
-
-
 class TestSelect:
     def test_lev_sim_picks_most_similar(self):
         group = SourceGroup("abcd", ("abcf", "ab"))
@@ -84,13 +66,6 @@ class TestSelect:
         config = SelectionConfig(Strategy.LEV_DIS)
         assert select(group, config) == Sample("abcd", "ab")
 
-    @pytest.mark.parametrize("strategy", DETERMINISTIC)
-    def test_tie_break_keeps_first_appearance(self, strategy):
-        # Both references tie on every ranking key (ratio 14/16, Jaccard
-        # 7/9, 2 merged edits), so the lowest target index wins.
-        picked = select(TABLE_GROUP, SelectionConfig(strategy))
-        assert picked.target == "我能胜任这职务。"
-
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_singleton_passthrough(self, strategy):
         group = SourceGroup("s", ("only",))
@@ -100,6 +75,9 @@ class TestSelect:
     def test_empty_group_rejected(self):
         with pytest.raises(ValueError):
             select(SourceGroup("s", ()), SelectionConfig(Strategy.LEV_SIM))
+
+    def test_random_has_no_key(self):
+        assert _ranking(Strategy.RANDOM) is None
 
     def test_random_is_deterministic_per_seed(self):
         group = SourceGroup("abcd", ("t1", "t2", "t3", "t4"))
@@ -189,24 +167,6 @@ class TestBuildAblation:
             SourceGroup(f"s{i}", tuple(f"t{i}.{j}" for j in range(targets)))
             for i in range(count)
         ]
-
-    def test_dataset_sizes(self):
-        datasets = build_ablation(self.groups(5, 3), k_min=3, n_values={1, 2, 3}, seed=1)
-        assert {n: len(samples) for n, samples in datasets.items()} == {
-            1: 5,
-            2: 10,
-            3: 15,
-        }
-
-    def test_prefix_property(self):
-        datasets = build_ablation(self.groups(6, 4), k_min=3, n_values={1, 2, 3}, seed=9)
-        by_source = {}
-        for n, samples in datasets.items():
-            for source, target in samples:
-                by_source.setdefault(source, {}).setdefault(n, []).append(target)
-        for per_n in by_source.values():
-            assert per_n[1] == per_n[2][:1]
-            assert per_n[2] == per_n[3][:2]
 
     def test_small_groups_discarded(self):
         groups = self.groups(4, 4) + [SourceGroup("small", ("a", "b"))]

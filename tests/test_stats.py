@@ -59,6 +59,12 @@ class TestOverallStats:
         golden = json.loads((DATA / "stats_golden.json").read_text(encoding="utf-8"))
         assert rendered["overall"].keys() == golden["overall"].keys()
 
+    def test_mean_ratio_is_compensated(self):
+        # Each line's ratio is 0.1; ten of them summed plainly give
+        # 0.9999999999999999, and the mean 0.09999999999999999.
+        stats = overall_stats([Sample("a", "bcdefghij")] * 10)
+        assert stats.mean_levenshtein_ratio == 0.1
+
 
 class TestBucketStats:
     def test_all_singletons_fill_one_bucket(self):

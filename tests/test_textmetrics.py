@@ -11,6 +11,7 @@ from gecclean.textmetrics import (
 )
 from oracles import (
     distance_matrix,
+    edited_pairs,
     levenshtein_distance_by_trim,
     levenshtein_distance_dp,
 )
@@ -23,27 +24,6 @@ WIDE_ALPHABET = "abcxyz我能胜任这此职务不是很好。，! ?"
 # Astral-plane characters, combining marks and characters whose NFC form
 # differs: the kernel compares code points and must not care which.
 ODD_ALPHABET = ["a", "e", "\u0301", "\u0308", "é", "\U0001F600", "\U00020000", "𝔸", "我"]
-
-
-@st.composite
-def edited_pairs(draw, alphabet, max_size):
-    """A string and a copy of it a few insertions, substitutions and
-    deletions away."""
-    source = draw(st.text(alphabet=alphabet, max_size=max_size))
-    chars = list(source)
-    operations = st.tuples(
-        st.integers(0, 2), st.integers(0, max_size), st.sampled_from(alphabet)
-    )
-    for kind, position, char in draw(st.lists(operations, max_size=12)):
-        position %= len(chars) + 1
-        if kind == 0:
-            chars.insert(position, char)
-        elif position < len(chars):
-            if kind == 1:
-                chars[position] = char
-            else:
-                del chars[position]
-    return source, "".join(chars)
 
 
 class TestLevenshteinDistance:
@@ -241,11 +221,6 @@ class TestLevenshteinRatio:
     def test_single_substitution(self):
         assert levenshtein_ratio("abc", "abd") == pytest.approx(5 / 6)
 
-    def test_corpus_example(self):
-        assert levenshtein_ratio("我能胜任这此职务", "我能胜任这职务。") == pytest.approx(
-            14 / 16, abs=1e-12
-        )
-
     @given(short_text, short_text)
     def test_bounds_and_symmetry(self, s, t):
         value = levenshtein_ratio(s, t)
@@ -266,12 +241,6 @@ class TestJaccard:
 
     def test_empty_pair_is_one(self):
         assert jaccard_similarity("", "") == 1.0
-
-    def test_corpus_example(self):
-        # Intersection {我,能,胜,任,这,职,务}; union adds 此 and 。.
-        assert jaccard_similarity("我能胜任这此职务", "我能胜任这职务。") == pytest.approx(
-            7 / 9, abs=1e-12
-        )
 
     @given(short_text, short_text)
     def test_symmetry_and_bounds(self, s, t):

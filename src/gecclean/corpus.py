@@ -166,12 +166,13 @@ def parse_parallel(
                 " (did you mean the multi-target layout?)",
                 number,
             )
-        sentences = [normalize(field) for field in fields]
-        if not all(sentences):
+        source, *targets = map(normalize, fields)
+        if not source or not all(targets):
             raise ParallelFormatError("empty field", number)
-        source = sentences[0]
-        for target in sentences[1:]:
-            yield Sample(source, target)
+        for target in targets:
+            # A Sample is its tuple: NamedTuple's __new__ only passes the
+            # fields on.
+            yield tuple.__new__(Sample, (source, target))
 
 
 def write_parallel(samples: Iterable[Sample], out: IO[str]) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import warnings
 
-from .m2 import Annotation, Edit, _check_annotator_id
+from .m2 import Annotation, Edit, _check_annotator_id, _check_replacement
 
 # Defined in gecclean.m2.  They stay importable from here because the
 # acceptance suite and the bench harness import them from this module.
@@ -103,8 +103,10 @@ def extract_edits(s: str, t: str, annotator_id: int = 0) -> Annotation:
     prefix, suffix = common_affixes(s, t)
     i, j = m - suffix, n - suffix
     if i - prefix == 1 == j - prefix:
-        # The commonest core, one substituted character.
-        return tuple.__new__(Annotation, ((Edit(prefix, i, t[prefix]),), annotator_id))
+        # The commonest core, one substituted character; its span is valid.
+        _check_replacement(t[prefix])
+        edit = tuple.__new__(Edit, (prefix, i, t[prefix]))
+        return tuple.__new__(Annotation, ((edit,), annotator_id))
     # The core s[prefix:i], t[prefix:j]; column c of its pass is column
     # prefix + c of the full matrix, and row r its row prefix + r.
     first = prefix + 1

@@ -148,34 +148,37 @@ def to_m2(source: str, annotations: Sequence[Annotation]) -> str:
 
     The block ends with a newline and contains no blank line; blocks are
     separated by exactly one blank line at the file level (write_m2_file).
+    A source that holds a line break is rejected: one S line cannot hold it.
     """
     if not annotations:
         raise ValueError("an M2 block needs an annotation (a noop annotation counts)")
-    lines = ["S " + " ".join(source)]
+    if "\n" in source or "\r" in source:
+        raise ValueError("an M2 source may not contain a line break")
+    # " ".join(source), without a string per character.
+    lines = ["S " + source.replace("", " ")[1:-1]]
+    length = len(source)
     seen: set[int] = set()
     for annotation in annotations:
-        if annotation.annotator_id in seen:
-            raise ValueError(f"duplicate annotator_id {annotation.annotator_id}")
-        seen.add(annotation.annotator_id)
-        _check_bounds(annotation, len(source))
-        if not annotation.edits:
-            lines.append(
-                f"A -1 -1|||noop|||{_NONE_FIELD}|||REQUIRED|||{_NONE_FIELD}|||"
-                f"{annotation.annotator_id}"
-            )
+        edits, annotator_id = annotation
+        if annotator_id in seen:
+            raise ValueError(f"duplicate annotator_id {annotator_id}")
+        seen.add(annotator_id)
+        _check_bounds(annotation, length)
+        tail = f"|||REQUIRED|||{_NONE_FIELD}|||{annotator_id}"
+        if not edits:
+            lines.append(f"A -1 -1|||noop|||{_NONE_FIELD}{tail}")
             continue
-        for edit in annotation.edits:
+        for start, end, text in edits:
             # The reader splits at the leftmost "|||", so a trailing "|"
             # would move the field's end as surely as a "|||" inside it.
-            text = edit.replacement
             if text == _NONE_FIELD or "|||" in text or text.endswith("|"):
                 raise ValueError(f"replacement {text!r} collides with M2 markers")
             lines.append(
-                f"A {edit.start} {edit.end}|||{edit.kind}|||"
-                f"{text or _NONE_FIELD}|||REQUIRED|||{_NONE_FIELD}|||"
-                f"{annotation.annotator_id}"
+                f"A {start} {end}|||{_span_kind(start, end, text)}|||"
+                f"{text or _NONE_FIELD}{tail}"
             )
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
 def _decode_s_line(remainder: str, line_number: int) -> str:
@@ -325,9 +328,7 @@ def write_m2_file(blocks: Iterable[str], out: IO[str]) -> int:
     """Write rendered M2 blocks separated by one blank line each."""
     count = 0
     for block in blocks:
-        if count:
-            out.write("\n")
-        out.write(block)
+        out.write("\n" + block if count else block)
         count += 1
     return count
 

@@ -47,6 +47,11 @@ trimmed and, unless a core is empty, runs the package's bit-vector pass.
 ``apply_edits_by_splice`` is the annotation applier the package used before
 it joined the text between the edits and their replacements left to right:
 it splices each edit into a list of characters, right to left.
+``to_m2_by_join`` is the M2 block renderer the package used before it
+spaced the S line with one ``str.replace`` and read each edit's fields by
+unpacking: it joins the source's characters with spaces and reads each
+edit's kind through ``Edit.kind``.  It shares the package's ``_check_bounds``
+and kind rule, and its error messages are its own copies.
 ``group_by_source_by_dicts`` is the grouping the package did before a
 source with one target held that target as a string and the command line
 took its groups as an iterator: every source holds a dict of its targets,
@@ -602,6 +607,35 @@ def apply_edits_by_splice(s: str, annotation: Annotation) -> str:
     for edit in reversed(annotation.edits):
         chars[edit.start : edit.end] = edit.replacement
     return normalize("".join(chars))
+
+
+def to_m2_by_join(source: str, annotations: Sequence[Annotation]) -> str:
+    """Render one M2 block, the S line as the space-joined characters."""
+    if not annotations:
+        raise ValueError("an M2 block needs an annotation (a noop annotation counts)")
+    lines = ["S " + " ".join(source)]
+    seen: set[int] = set()
+    for annotation in annotations:
+        if annotation.annotator_id in seen:
+            raise ValueError(f"duplicate annotator_id {annotation.annotator_id}")
+        seen.add(annotation.annotator_id)
+        _check_bounds(annotation, len(source))
+        if not annotation.edits:
+            lines.append(
+                f"A -1 -1|||noop|||{_NONE_FIELD}|||REQUIRED|||{_NONE_FIELD}|||"
+                f"{annotation.annotator_id}"
+            )
+            continue
+        for edit in annotation.edits:
+            text = edit.replacement
+            if text == _NONE_FIELD or "|||" in text or text.endswith("|"):
+                raise ValueError(f"replacement {text!r} collides with M2 markers")
+            lines.append(
+                f"A {edit.start} {edit.end}|||{edit.kind}|||"
+                f"{text or _NONE_FIELD}|||REQUIRED|||{_NONE_FIELD}|||"
+                f"{annotation.annotator_id}"
+            )
+    return "\n".join(lines) + "\n"
 
 
 def group_by_source_by_dicts(samples) -> list[SourceGroup]:

@@ -78,7 +78,9 @@ class TestNormalize:
 
 class TestParseParallel:
     def test_single_pair_line(self):
-        assert list(parse_parallel(["a\tb\n"])) == [Sample("a", "b")]
+        samples = list(parse_parallel(["a\tb\n"]))
+        assert samples == [Sample("a", "b")]
+        assert samples[0]._asdict() == {"source": "a", "target": "b"}
 
     def test_multi_target_fan_out(self):
         samples = list(parse_parallel(["a\tb\tc\n"], multi_target=True))
@@ -180,33 +182,6 @@ class TestReadLines:
 
 
 class TestGrouping:
-    def test_duplicate_pairs_collapse(self):
-        samples = [Sample("s", "t1"), Sample("s", "t2"), Sample("s", "t1")]
-        assert group_by_source(samples) == [SourceGroup("s", ("t1", "t2"))]
-
-    def test_distinct_sources_stay_separate(self):
-        samples = [Sample("s1", "t"), Sample("s2", "t")]
-        assert group_by_source(samples) == [
-            SourceGroup("s1", ("t",)),
-            SourceGroup("s2", ("t",)),
-        ]
-
-    def test_two_sources_three_targets_each(self):
-        # 6-line corpus: 2 sources x 3 targets, interleaved.
-        samples = [
-            Sample("s1", "a"),
-            Sample("s2", "x"),
-            Sample("s1", "b"),
-            Sample("s2", "y"),
-            Sample("s1", "c"),
-            Sample("s2", "z"),
-        ]
-        groups = group_by_source(samples)
-        assert groups == [
-            SourceGroup("s1", ("a", "b", "c")),
-            SourceGroup("s2", ("x", "y", "z")),
-        ]
-
     def test_idempotent(self):
         samples = [
             Sample("s", "t1"),
@@ -250,6 +225,11 @@ class TestGroupingMatchesOracle:
     """Every grouping path against ``oracles.group_by_source_by_dicts``."""
 
     @given(lines=multi_target_lines())
+    # Duplicate pairs collapse; distinct sources stay apart; two sources of
+    # three targets each, interleaved, keep each source's order.
+    @example(lines=[["s", "t1"], ["s", "t2"], ["s", "t1"]])
+    @example(lines=[["s1", "t"], ["s2", "t"]])
+    @example(lines=[["s1", "a"], ["s2", "x"], ["s1", "b"], ["s2", "y"], ["s1", "c"], ["s2", "z"]])
     def test_list_lazy_path_and_drop_rule(self, tmp_path_factory, lines):
         text = "".join("\t".join(fields) + "\n" for fields in lines)
         corpus = tmp_path_factory.getbasetemp() / "grouping.tsv"

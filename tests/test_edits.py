@@ -37,6 +37,7 @@ from oracles import (
     merge_path,
     parse_m2_by_join,
     read_m2_file_by_join,
+    to_m2_by_join,
 )
 
 TABLE_SOURCE = "我能胜任这此职务"
@@ -138,6 +139,57 @@ def m2_files(draw):
                 fields[j % len(fields)] = field
                 lines[i] = head + "|||".join(fields)
     return lines
+
+
+# Sources for the renderer: empty, ASCII, space, CJK, astral characters and
+# a combining mark.
+RENDER_ALPHABET = "ab 我😀𠀀\u0301"
+
+
+@st.composite
+def m2_groups(draw):
+    """A source and the annotations to render for it.
+
+    An annotator id may repeat.  Each annotation is a target's edits, which
+    may be a noop, or edits drawn directly: they may start at 0, end at the
+    source's end or one past it, and replace with M2's markers.
+    """
+    source = draw(st.text(alphabet=RENDER_ALPHABET, max_size=8))
+    ids = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True))
+    if draw(st.integers(0, 9)) == 0:
+        ids.append(ids[0])
+    # An edit's gap after the previous one, its span and its replacement.
+    steps = st.tuples(
+        st.integers(0, 2),
+        st.integers(0, 2),
+        st.text(alphabet=RENDER_ALPHABET, max_size=3) | marker_text,
+    )
+    annotations = []
+    for annotator_id in ids:
+        if draw(st.booleans()):
+            target = draw(st.text(alphabet=RENDER_ALPHABET, max_size=8))
+            annotations.append(extract_edits(source, target, annotator_id))
+            continue
+        edits: list[Edit] = []
+        end = 0
+        for gap, span, text in draw(st.lists(steps, max_size=3)):
+            start = end + gap
+            if not (gap or span) and edits and edits[-1].start == edits[-1].end:
+                start += 1  # two insertions may not share a position
+            end = start + span
+            if end > len(source) + 1:
+                break
+            edits.append(Edit(start, end, text))
+        annotations.append(Annotation(edits, annotator_id))
+    return source, annotations
+
+
+def rendered(render, source: str, annotations) -> str | tuple:
+    """The block ``render`` writes, or the type and message of its error."""
+    try:
+        return render(source, annotations)
+    except ValueError as exc:
+        return type(exc), str(exc)
 
 
 def m2_outcome(entries) -> tuple[list, tuple | None]:
@@ -659,7 +711,9 @@ class TestExtractEdits:
             assert extract_edits("a" * 513, "a" * 513) == Annotation(())
 
     def test_single_substitution(self):
-        assert extract_edits("abcd", "abcf").edits == (Edit(3, 4, "f"),)
+        edits = extract_edits("abcd", "abcf").edits
+        assert edits == (Edit(3, 4, "f"),)
+        assert type(edits[0]) is Edit
 
     def test_adjacent_substitutions_merge(self):
         assert extract_edits("abcd", "axyd").edits == (Edit(1, 3, "xy"),)
@@ -794,40 +848,12 @@ class TestM2Format:
         assert source == TABLE_SOURCE
         assert annotations == [Annotation((Edit(5, 6, ""), Edit(8, 8, "。")), 0)]
 
-    def test_span_out_of_bounds(self):
-        block = "S 我 能 胜 任 这 此 职 务\nA 9 9|||M|||x|||REQUIRED|||-NONE-|||0\n"
-        with pytest.raises(M2FormatError, match="out of bounds"):
-            parse_m2(block)
-
-    def test_unknown_kind(self):
-        with pytest.raises(M2FormatError, match="unknown edit kind"):
-            parse_m2("S a b\nA 0 1|||X|||z|||REQUIRED|||-NONE-|||0\n")
-
-    def test_kind_must_match_span_shape(self):
-        with pytest.raises(M2FormatError, match="inconsistent"):
-            parse_m2("S a b\nA 0 1|||M|||z|||REQUIRED|||-NONE-|||0\n")
-
     def test_crlf_block_parses_like_its_lf_form(self):
         block = "S a b\nA 0 1|||R|||c|||REQUIRED|||-NONE-|||0\n"
         expected = ("ab", [Annotation((Edit(0, 1, "c"),), 0)])
         assert parse_m2(block) == expected
         assert parse_m2(block.replace("\n", "\r\n")) == expected
         assert parse_m2("\ufeff" + block.replace("\n", "\r\n")) == expected
-
-    def test_error_carries_line_number(self):
-        with pytest.raises(M2FormatError, match="line 2"):
-            parse_m2("S a b\nA 0 1|||bogus\n")
-
-    def test_overlapping_edit_names_its_own_line(self):
-        block = (
-            "S a b c d\n"
-            "A 0 1|||R|||x|||REQUIRED|||-NONE-|||0\n"
-            "A 2 3|||R|||y|||REQUIRED|||-NONE-|||0\n"
-            "A 1 3|||R|||z|||REQUIRED|||-NONE-|||0\n"
-        )
-        with pytest.raises(M2FormatError, match="line 4: edits out of order") as excinfo:
-            parse_m2(block)
-        assert excinfo.value.line_number == 4
 
     def test_second_insertion_at_a_position_names_its_own_line(self):
         # The other annotator's line in between does not count: the rule
@@ -853,27 +879,6 @@ class TestM2Format:
         _, annotations = parse_m2(block)
         assert [a.annotator_id for a in annotations] == [0, 1]
         assert len(annotations[1].edits) == 2
-
-    NOOP_LINE = "A -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||0\n"
-    EDIT_LINE = "A 0 1|||R|||x|||REQUIRED|||-NONE-|||0\n"
-
-    @pytest.mark.parametrize(
-        "lines, message",
-        [
-            (NOOP_LINE + EDIT_LINE, "edit follows a noop for annotator 0"),
-            (EDIT_LINE + NOOP_LINE, "noop conflicts with other lines for annotator 0"),
-        ],
-        ids=["edit-after-noop", "noop-after-edit"],
-    )
-    def test_noop_and_edit_of_one_annotator_name_the_later_line(self, lines, message):
-        with pytest.raises(M2FormatError) as excinfo:
-            parse_m2("S a b\n" + lines)
-        assert str(excinfo.value) == f"line 3: {message}"
-        assert excinfo.value.line_number == 3
-
-    def test_block_without_a_line_rejected(self):
-        with pytest.raises(M2FormatError, match="line 1: block has no 'A' line"):
-            parse_m2("S a b\n")
 
     def test_block_without_annotation_rejected_on_write(self):
         with pytest.raises(ValueError, match="needs an annotation"):
@@ -932,6 +937,37 @@ class TestM2Format:
     def test_edit_out_of_bounds_rejected_on_write(self):
         with pytest.raises(ValueError, match="out of bounds for a 2-token source"):
             to_m2("ab", [Annotation((Edit(1, 3, "x"),), 0)])
+
+    @pytest.mark.parametrize("source", ["a\nb", "ab\r"], ids=["lf", "cr"])
+    def test_source_with_a_line_break_rejected_on_write(self, source):
+        # Its S line would not read back: parse_m2 rejects the block that
+        # the joining renderer wrote for it.
+        with pytest.raises(M2FormatError, match="S line is not single characters"):
+            parse_m2(to_m2_by_join(source, [Annotation(())]))
+        with pytest.raises(ValueError, match="^an M2 source may not contain a line break$"):
+            to_m2(source, [Annotation(())])
+
+    @given(st.lists(m2_groups(), max_size=4))
+    @example([("", [Annotation((Edit(0, 0, "x"),), 0)])])
+    @example([("我😀", [Annotation((Edit(0, 1, "x"), Edit(2, 2, "。")), 1), Annotation((), 0)])])
+    @example([("a\u0301 b", [Annotation((Edit(1, 2, ""),), 0)]), ("ab", [Annotation(())])])
+    @example([("ab", [Annotation((), 2), Annotation((Edit(0, 1, "x"),), 2)])])
+    @example([("ab", [Annotation((Edit(1, 3, "x"),), 0)])])
+    @example([("ab", [Annotation((Edit(0, 2, "-NONE-"),), 0)])])
+    @example([("ab", [])])
+    @settings(max_examples=300)
+    def test_renderer_and_writer_match_join_oracle(self, groups):
+        # Each block, or the same error type and message, as the renderer
+        # that joined the source's characters; and the file of the blocks.
+        blocks = []
+        for source, annotations in groups:
+            block = rendered(to_m2, source, annotations)
+            assert block == rendered(to_m2_by_join, source, annotations)
+            if isinstance(block, str):
+                blocks.append(block)
+        out = io.StringIO()
+        assert write_m2_file(iter(blocks), out) == len(blocks)
+        assert out.getvalue() == "\n".join(blocks)
 
     @given(marker_text, st.lists(marker_text, min_size=1, max_size=3))
     @example("ab", ["ax|"])
@@ -1102,6 +1138,36 @@ class TestM2File:
                 )
 
     @given(m2_files(), st.booleans())
+    # A span past the source; an unknown kind; a kind its span does not
+    # have; too few fields; an edit overlapping its annotator's previous
+    # one on line 4; a noop and an edit of one annotator, either way round;
+    # an S line alone.
+    @example(["S 我 能 胜 任 这 此 职 务", "A 9 9|||M|||x|||REQUIRED|||-NONE-|||0"], False)
+    @example(["S a b", "A 0 1|||X|||z|||REQUIRED|||-NONE-|||0"], False)
+    @example(["S a b", "A 0 1|||M|||z|||REQUIRED|||-NONE-|||0"], False)
+    @example(["S a b", "A 0 1|||bogus"], False)
+    @example(
+        [
+            "S a b c d",
+            "A 0 1|||R|||x|||REQUIRED|||-NONE-|||0",
+            "A 2 3|||R|||y|||REQUIRED|||-NONE-|||0",
+            "A 1 3|||R|||z|||REQUIRED|||-NONE-|||0",
+        ],
+        False,
+    )
+    @example(
+        [
+            "S a b",
+            "A -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||0",
+            "A 0 1|||R|||x|||REQUIRED|||-NONE-|||0",
+            "",
+            "S a b",
+            "A 0 1|||R|||x|||REQUIRED|||-NONE-|||0",
+            "A -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||0",
+        ],
+        False,
+    )
+    @example(["S a b"], False)
     @settings(max_examples=400)
     def test_reader_and_parser_match_join_oracle(self, lines, crlf):
         # Entries, or the same error type, message and line number, as the

@@ -40,10 +40,16 @@ def _read(path: str, parse, **options) -> Iterator:
             raise OSError(exc.errno, exc.strerror, path) from None
 
 
-def _read_samples(args) -> Iterator:
-    from .corpus import parse_parallel
+def _read_samples(args) -> Iterator[tuple[str, str]]:
+    """The input's ``(source, target)`` pairs, as ``parse_parallel`` reads them.
 
-    return _read(args.input, parse_parallel, multi_target=args.multi_target_lines)
+    They are plain tuples, parsed a run of lines at a time.
+    """
+    from .corpus import _pair_runs
+
+    return itertools.chain.from_iterable(
+        _read(args.input, _pair_runs, multi_target=args.multi_target_lines)
+    )
 
 
 def _read_groups(args) -> Iterator:

@@ -8,6 +8,7 @@ at.
 from __future__ import annotations
 
 import io
+import itertools
 import unicodedata
 from typing import IO, Iterable, Iterator, NamedTuple
 
@@ -27,6 +28,12 @@ class ParallelFormatError(ValueError):
     def __init__(self, message: str, line_number: int):
         super().__init__(f"line {line_number}: {message}")
         self.line_number = line_number
+
+    def __reduce__(self):
+        # pickle and copy call the class with ``args``, which hold only the
+        # formatted message: pass the message and the line number instead.
+        message = self.args[0].removeprefix(f"line {self.line_number}: ")
+        return type(self), (message, self.line_number)
 
 
 class Sample(NamedTuple):
@@ -93,7 +100,24 @@ def _read_each(lines: Iterable[str | bytes], first: int) -> Iterator[tuple[int, 
 
 
 def _read_stream(stream: IO[bytes]) -> Iterator[tuple[int, str]]:
-    """``read_lines`` over a binary stream, one run of whole lines at a time."""
+    """``read_lines`` over a binary stream."""
+    for number, lines in _stream_runs(stream):
+        yield from enumerate(lines, number)
+
+
+def _read_runs(lines: Iterable[str | bytes]) -> Iterator[tuple[int, list[str]]]:
+    """``read_lines`` a run at a time: ``(number of its first line, its lines)``.
+
+    A stream's run is the lines one block decodes; any other input's is one
+    line.
+    """
+    if isinstance(lines, io.BufferedIOBase):
+        return _stream_runs(lines)
+    return ((number, [line]) for number, line in _read_each(lines, 1))
+
+
+def _stream_runs(stream: IO[bytes]) -> Iterator[tuple[int, list[str]]]:
+    """``_read_runs`` over a binary stream: each run is decoded once."""
     number = 1
     for run in _line_runs(stream):
         try:
@@ -102,7 +126,13 @@ def _read_stream(stream: IO[bytes]) -> Iterator[tuple[int, str]]:
             # "\n" is never part of a multibyte sequence, so a line of the
             # run fails alone: read line by line, the lines before it are
             # yielded and the error names it.
-            yield from _read_each(io.BytesIO(run), number)
+            lines = []
+            try:
+                for _, line in _read_each(io.BytesIO(run), number):
+                    lines.append(line)
+            except ParallelFormatError:
+                yield number, lines
+                raise
             raise AssertionError("a run failed to decode, but each of its lines decoded")
         if run.endswith(b"\n"):
             lines.pop()
@@ -110,7 +140,7 @@ def _read_stream(stream: IO[bytes]) -> Iterator[tuple[int, str]]:
             lines[0] = lines[0][1:]
         if b"\r" in run:
             lines = [line.rstrip("\r") for line in lines]
-        yield from enumerate(lines, number)
+        yield number, lines
         number += len(lines)
 
 
@@ -154,32 +184,67 @@ def parse_parallel(
     (source, target) pair.  Blank lines are skipped; fields that are empty
     after normalization are rejected.
     """
-    for number, line in read_lines(lines):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) < 2:
-            raise ParallelFormatError("expected at least 2 tab-separated fields", number)
-        if not multi_target and len(fields) != 2:
-            raise ParallelFormatError(
-                f"expected 2 tab-separated fields, found {len(fields)}"
-                " (did you mean the multi-target layout?)",
-                number,
-            )
-        source, *targets = map(normalize, fields)
-        if not source or not all(targets):
-            raise ParallelFormatError("empty field", number)
-        for target in targets:
-            # A Sample is its tuple: NamedTuple's __new__ only passes the
-            # fields on.
-            yield tuple.__new__(Sample, (source, target))
+    for pair in itertools.chain.from_iterable(_pair_runs(lines, multi_target)):
+        # A Sample is its tuple: NamedTuple's __new__ only passes the fields on.
+        yield tuple.__new__(Sample, pair)
+
+
+def _pair_runs(
+    lines: Iterable[str | bytes], multi_target: bool
+) -> Iterator[list[tuple[str, str]]]:
+    """``parse_parallel``'s pairs as plain tuples, one list per run of lines.
+
+    The runs are those of ``_read_runs``.  If a run's lines, joined by tabs,
+    hold no CR or LF and are NFC, each field is only stripped, which is what
+    ``normalize`` makes of it: tab, CR, LF and whitespace are starters that
+    compose with nothing, so NFC splits at them, and such a field has no
+    tab, CR or LF to remove.  Any other run's fields are normalized.  A bad
+    line's error is raised once the run's pairs before it are yielded.
+    """
+    for number, run in _read_runs(lines):
+        text = "\t".join(run)
+        field = normalize
+        if "\r" not in text and "\n" not in text and unicodedata.is_normalized("NFC", text):
+            field = str.strip
+        pairs: list[tuple[str, str]] = []
+        try:
+            for number, line in enumerate(run, number):
+                if not line.strip():
+                    continue
+                fields = line.split("\t")
+                if len(fields) < 2:
+                    raise ParallelFormatError(
+                        "expected at least 2 tab-separated fields", number
+                    )
+                if len(fields) == 2:
+                    # Either layout's one pair: no list of targets.
+                    source, target = map(field, fields)
+                    if not source or not target:
+                        raise ParallelFormatError("empty field", number)
+                    pairs.append((source, target))
+                    continue
+                if not multi_target:
+                    raise ParallelFormatError(
+                        f"expected 2 tab-separated fields, found {len(fields)}"
+                        " (did you mean the multi-target layout?)",
+                        number,
+                    )
+                source, *targets = map(field, fields)
+                if not source or not all(targets):
+                    raise ParallelFormatError("empty field", number)
+                for target in targets:
+                    pairs.append((source, target))
+        except ParallelFormatError:
+            yield pairs
+            raise
+        yield pairs
 
 
 def write_parallel(samples: Iterable[Sample], out: IO[str]) -> int:
     """Serialize samples as ``source<TAB>target`` lines; returns the count."""
     count = 0
-    for sample in samples:
-        out.write(f"{sample.source}\t{sample.target}\n")
+    for source, target in samples:
+        out.write(f"{source}\t{target}\n")
         count += 1
     return count
 
@@ -198,7 +263,9 @@ def _source_groups(samples: Iterable[Sample]) -> Iterator[SourceGroup]:
         elif targets != target:
             grouped[source] = {targets: None, target: None}
     return (
-        SourceGroup(source, (targets,) if type(targets) is str else tuple(targets))
+        tuple.__new__(
+            SourceGroup, (source, (targets,) if type(targets) is str else tuple(targets))
+        )
         for source, targets in grouped.items()
     )
 

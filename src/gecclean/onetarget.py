@@ -93,19 +93,19 @@ def select(group: SourceGroup, config: SelectionConfig) -> Sample:
     between ranking keys are broken by the lowest target index, i.e. first
     appearance in the corpus.
     """
-    targets = group.targets
+    source, targets = group
     if not targets:
-        raise ValueError(f"group for source {group.source!r} has no targets")
+        raise ValueError(f"group for source {source!r} has no targets")
     if len(targets) == 1:
-        return Sample(group.source, targets[0])
-    ranking = _ranking(config.strategy)
-    if ranking is None:
-        index = _group_rng(config.seed, group.source).randrange(len(targets))
+        index = 0
+    elif (ranking := _ranking(config.strategy)) is None:
+        index = _group_rng(config.seed, source).randrange(len(targets))
     else:
         key, pick = ranking
-        keys = [key(group.source, t) for t in targets]
+        keys = [key(source, t) for t in targets]
         index = pick(range(len(targets)), key=keys.__getitem__)
-    return Sample(group.source, targets[index])
+    # A Sample is its tuple: NamedTuple's __new__ only passes the fields on.
+    return tuple.__new__(Sample, (source, targets[index]))
 
 
 def clean_corpus(

@@ -56,7 +56,13 @@ and kind rule, and its error messages are its own copies.
 source with one target held that target as a string and the command line
 took its groups as an iterator: every source holds a dict of its targets,
 and the list of groups is built before it is returned.  It shares the
-package's ``SourceGroup`` only.  ``TrickleStream`` is no reference but the
+package's ``SourceGroup`` only.  ``parse_parallel_by_field`` is the TSV
+parser the package used before it parsed a decoded run of lines at a time
+and only stripped the fields of a run that is already NFC: it takes one
+line at a time from ``read_lines`` and normalizes every field.  It shares
+the package's line reader, ``normalize``, ``Sample`` and exception class,
+so it checks the run parser and the rule that decides which runs need no
+``normalize``.  ``TrickleStream`` is no reference but the
 input that tests the block readers against ``read_lines_by_line``: a binary
 stream whose reads return a few bytes each, so characters, line endings
 and lines straddle its blocks.  ``edited_pairs`` is the other shared
@@ -74,7 +80,7 @@ from typing import Sequence
 
 from hypothesis import strategies as st
 
-from gecclean.corpus import ParallelFormatError, SourceGroup, normalize
+from gecclean.corpus import ParallelFormatError, Sample, SourceGroup, normalize, read_lines
 from gecclean.edits import extract_edits
 from gecclean.m2 import (
     _NONE_FIELD,
@@ -646,3 +652,24 @@ def group_by_source_by_dicts(samples) -> list[SourceGroup]:
     for source, targets in grouped.items():
         grouped[source] = SourceGroup(source, tuple(targets))
     return list(grouped.values())
+
+
+def parse_parallel_by_field(lines, multi_target=False):
+    """Parse TSV one line at a time, normalizing every field."""
+    for number, line in read_lines(lines):
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) < 2:
+            raise ParallelFormatError("expected at least 2 tab-separated fields", number)
+        if not multi_target and len(fields) != 2:
+            raise ParallelFormatError(
+                f"expected 2 tab-separated fields, found {len(fields)}"
+                " (did you mean the multi-target layout?)",
+                number,
+            )
+        source, *targets = map(normalize, fields)
+        if not source or not all(targets):
+            raise ParallelFormatError("empty field", number)
+        for target in targets:
+            yield tuple.__new__(Sample, (source, target))

@@ -441,13 +441,14 @@ class TestModulesLoaded:
         # loaded when the corpus is first read: compiling it after the read
         # would stack its compile on the corpus's peak.
         ranks_by_aligner = "edi_least" in argv
+        # The CLI reads a corpus through corpus._pair_runs.
         watch_read = (
             "import gecclean.corpus as corpus\n"
-            "parse = corpus.parse_parallel\n"
-            "def parse_parallel(*args, **kwargs):\n"
+            "parse = corpus._pair_runs\n"
+            "def _pair_runs(*args, **kwargs):\n"
             "    seen.append('gecclean.edits' in sys.modules)\n"
             "    return parse(*args, **kwargs)\n"
-            "corpus.parse_parallel = parse_parallel\n"
+            "corpus._pair_runs = _pair_runs\n"
         )
         probe = (
             "import sys\n"

@@ -4,7 +4,7 @@ import tracemalloc
 import unicodedata
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gecclean import cli
 from gecclean.corpus import (
@@ -19,7 +19,12 @@ from gecclean.corpus import (
     read_lines,
     write_parallel,
 )
-from oracles import TrickleStream, group_by_source_by_dicts, read_lines_by_line
+from oracles import (
+    TrickleStream,
+    group_by_source_by_dicts,
+    parse_parallel_by_field,
+    read_lines_by_line,
+)
 
 # Byte pieces of the reader's input files: line endings, byte-order marks,
 # multibyte characters and invalid or truncated UTF-8.
@@ -29,12 +34,12 @@ LINE_BYTES = [
 ]
 
 
-def read_outcome(numbered) -> tuple[list, tuple | None]:
-    """The ``(number, line)`` pairs a line reader yields, and the error that stops it."""
+def read_outcome(items) -> tuple[list, tuple | None]:
+    """What a line reader or a parser yields, and the error that stops it."""
     got = []
     try:
-        for pair in numbered:
-            got.append(pair)
+        for item in items:
+            got.append(item)
     except ParallelFormatError as exc:
         return got, (type(exc), str(exc), exc.line_number)
     return got, None
@@ -130,6 +135,56 @@ class TestParseParallel:
         buffer = io.StringIO()
         assert write_parallel(samples, buffer) == 2
         assert list(parse_parallel(buffer.getvalue().splitlines(True))) == samples
+
+
+# Pieces of TSV text: CJK, spaces, tabs and a lone CR; a BOM; composing
+# and reordering marks ("e" + U+0301, U+0323, U+0898); U+2000, which is
+# whitespace but not NFC; and a lone surrogate, which a stream form writes
+# as invalid UTF-8.
+TSV_PIECES = [
+    "我", "能", "a", " ", "\u3000", "\t", "\t", "\r", "\ufeff", "e\u0301", "\u0323",
+    "\u0898", "\u2000", "\udcff",
+]
+
+
+class TestParseParallelMatchesOracle:
+    """The run parser against ``oracles.parse_parallel_by_field``."""
+
+    @given(
+        lines=st.lists(
+            st.tuples(
+                st.lists(st.sampled_from(TSV_PIECES), max_size=12).map("".join),
+                st.sampled_from(["\n", "\r\n"]),
+            ).map("".join),
+            max_size=12,
+        ),
+        bom=st.booleans(),
+        multi_target=st.booleans(),
+        sizes=st.lists(st.integers(1, 64), min_size=1, max_size=6),
+    )
+    # An NFC run, then a run whose "e" + U+0301 must be composed; a lone CR
+    # that normalize removes, and with it what keeps U+0301 from its "e";
+    # a bad line after good ones in one run; an LF inside a text line,
+    # which only a caller's lines can hold and normalize removes.
+    @example(lines=["我\t能\n", "e\u0301\ta\n"], bom=False, multi_target=False, sizes=[8])
+    @example(lines=["a\rb\tc\n", "e\r\u0301\ta\n"], bom=False, multi_target=False, sizes=[64])
+    @example(lines=["a\tb\n", "c\td\te\n", "f\n"], bom=True, multi_target=True, sizes=[64])
+    @example(lines=["a\nb\tc\n"], bom=False, multi_target=False, sizes=[64])
+    @settings(max_examples=300)
+    def test_same_samples_and_errors(self, lines, bom, multi_target, sizes):
+        # As text lines, as bytes lines, and as a stream in 8 KiB blocks and
+        # in small ones.
+        lines = ["\ufeff" * bom + line for line in lines[:1]] + lines[1:]
+        data = "".join(lines).encode("utf-8", "surrogateescape")
+        for make in (
+            lambda: lines,
+            lambda: [line.encode("utf-8", "surrogateescape") for line in lines],
+            lambda: io.BytesIO(data),
+            lambda: TrickleStream(data, sizes),
+        ):
+            assert read_outcome(parse_parallel(make(), multi_target)) == read_outcome(
+                parse_parallel_by_field(make(), multi_target)
+            )
 
 
 class TestReadLines:

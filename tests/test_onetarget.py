@@ -154,12 +154,6 @@ class TestCleanCorpus:
         config = SelectionConfig(Strategy.RANDOM, seed=3)
         assert clean_corpus(groups, config) == clean_corpus(groups, config)
 
-    def test_halves_a_two_target_corpus(self):
-        groups = [SourceGroup(f"s{i}", (f"t{i}a", f"t{i}b")) for i in range(1000)]
-        samples = clean_corpus(groups, SelectionConfig(Strategy.LEV_SIM))
-        assert len(samples) == 1000
-        assert sum(len(g.targets) for g in groups) == 2000
-
 
 class TestBuildAblation:
     def groups(self, count=5, targets=4):

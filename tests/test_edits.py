@@ -870,6 +870,23 @@ class TestM2Format:
             list(read_m2_file(block.splitlines(True)))
         assert excinfo.value.line_number == 4
 
+    @pytest.mark.parametrize("text", ["+0", "0_0", "١", "01"])
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("A {} 1|||R|||x|||REQUIRED|||-NONE-|||0", "bad edit span"),
+            ("A 0 {}|||R|||x|||REQUIRED|||-NONE-|||0", "bad edit span"),
+            ("A 0 1|||R|||x|||REQUIRED|||-NONE-|||{}", "bad annotator id"),
+        ],
+        ids=["start", "end", "annotator"],
+    )
+    def test_numbers_to_m2_never_writes_rejected(self, text, line, message):
+        # int() alone reads "+0" and "0_0" as 0, "01" and "١" as 1.
+        block = "S a b\nA -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||1\n"
+        block += line.format(text) + "\n"
+        with pytest.raises(M2FormatError, match=f"line 3: {message}"):
+            parse_m2(block)
+
     def test_annotators_grouped_by_first_appearance(self):
         block = to_m2(
             TABLE_SOURCE,
